@@ -2,7 +2,7 @@
 """Fuzz the backends against the brute-force oracle on random networks.
 
 Draws seeded random connected networks small enough for full
-enumeration, runs all four backends on each, and reports the worst
+enumeration, runs every backend on each, and reports the worst
 pairwise disagreement seen. Exits nonzero on the first network whose
 spread exceeds the tolerance, printing the offending network so the case
 can be replayed:

@@ -25,7 +25,7 @@ def main() -> int:
     parser.add_argument("--p", type=float, default=0.9)
     parser.add_argument(
         "--backends",
-        default="oracle,qbat,qb2",
+        default=",".join(BACKENDS),
         help="comma separated subset of " + ",".join(BACKENDS),
     )
     parser.add_argument("--budget", type=float, default=DEFAULT_BUDGET_S)

@@ -1,13 +1,11 @@
 """Exact two-terminal reliability of binary-state networks.
 
-Four interchangeable backends compute the probability that the source
+Three interchangeable backends compute the probability that the source
 node communicates with the sink node when every arc fails independently:
 
 ``reliability_oracle``
     Full enumeration of all arc-state vectors. Slow and simple; the
     reference the other backends are checked against.
-``reliability_bat``
-    The same enumeration driven through the public vector utilities.
 ``reliability_quick_bat``
     Prefix enumeration with closed-form head and tail zones; skips the
     bulk of the vector space on well-connected networks.
@@ -21,7 +19,6 @@ node communicates with the sink node when every arc fails independently:
 from .bat import (
     DEFAULT_ENUMERATION_CAP,
     EnumerationCapExceeded,
-    reliability_bat,
     reliability_oracle,
 )
 from .bench import BACKENDS, crosscheck, run_backend
@@ -73,7 +70,6 @@ __all__ = [
     "network_digest",
     "parse_network",
     "random_network",
-    "reliability_bat",
     "reliability_oracle",
     "reliability_qb2",
     "reliability_quick_bat",

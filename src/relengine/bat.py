@@ -1,17 +1,19 @@
-"""State-vector enumeration, connectivity tests and full-enumeration backends.
+"""The full-enumeration backend (the oracle) and its state-vector helpers.
 
 A state vector over m arcs is stored as an integer bitmask with arc 1 on
 the least significant bit. The enumeration successor rule (flip the first
 zero coordinate, clear everything below it) is then exactly integer
-increment, so the k-th vector of the enumeration encodes k - 1.
+increment, so the k-th vector of the enumeration encodes k - 1 and the
+oracle's sweep is ``range(2^m)``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 
 from .budget import Budget
 from .network import Network
+from .unionfind import find, union
 
 DEFAULT_ENUMERATION_CAP = 30
 
@@ -40,64 +42,25 @@ def bits_from_states(states: Sequence[int]) -> int:
     return bits
 
 
-def states_from_bits(bits: int, width: int) -> tuple[int, ...]:
-    return tuple((bits >> i) & 1 for i in range(width))
-
-
-def next_vector(bits: int, width: int) -> int | None:
-    """Successor in enumeration order, or None after the all-ones vector."""
-    if width < 1:
-        raise ValueError("width must be at least 1")
-    if bits + 1 >= 1 << width:
-        return None
-    return bits + 1
-
-
-def enumerate_vectors(width: int, start: int = 0) -> Iterator[int]:
-    """Yield start, then repeated successors, ending at the all-ones vector."""
-    if not 0 <= start < 1 << width:
-        raise ValueError("start vector out of range for the given width")
-    return iter(range(start, 1 << width))
-
-
 def is_connected(network: Network, bits: int) -> bool:
     """True when node 1 reaches node n over the arcs set in `bits`."""
-    n = network.node_count
-    if n == 1:
-        return True
-    parent = list(range(n + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    parent = list(range(network.node_count + 1))
     for a in network.arcs:
         if (bits >> (a.id - 1)) & 1:
-            ru, rv = find(a.u), find(a.v)
-            if ru != rv:
-                parent[ru] = rv
-    return find(1) == find(n)
-
-
-def vector_probability(network: Network, bits: int) -> float:
-    """Product of p_i for set coordinates and (1 - p_i) for clear ones."""
-    prob = 1.0
-    for a in network.arcs:
-        prob *= a.p if (bits >> (a.id - 1)) & 1 else 1.0 - a.p
-    return prob
+            union(parent, a.u, a.v)
+    return find(parent, network.source) == find(parent, network.sink)
 
 
 def half_probability_tables(
     probs: Sequence[float],
 ) -> tuple[list[float], list[float], int]:
-    """Split-table form of vector_probability.
+    """Probability of every state vector, as two half-width tables.
 
     Returns (low, high, shift) with
-    ``prob(bits) == low[bits & (2^shift - 1)] * high[bits >> shift]``.
-    Each table entry is a plain left-to-right product of its arc factors,
-    so the value is bit-identical to vector_probability's loop.
+    ``prob(bits) == low[bits & (2^shift - 1)] * high[bits >> shift]``,
+    where prob(bits) is the product of p_i over set coordinates and
+    1 - p_i over clear ones. Each table entry is a plain left-to-right
+    product of its arc factors.
     """
     m = len(probs)
     shift = m // 2
@@ -117,11 +80,6 @@ def _table(probs: Sequence[float]) -> list[float]:
     return out
 
 
-def _check_cap(network: Network, cap: int) -> None:
-    if network.arc_count > cap:
-        raise EnumerationCapExceeded(network.arc_count, cap)
-
-
 def reliability_oracle(
     network: Network, cap: int = DEFAULT_ENUMERATION_CAP, budget: Budget | None = None
 ) -> float:
@@ -130,7 +88,8 @@ def reliability_oracle(
     Deliberately self-contained (its own union-find, its own loop) so the
     smarter backends are validated against an independent implementation.
     """
-    _check_cap(network, cap)
+    if network.arc_count > cap:
+        raise EnumerationCapExceeded(network.arc_count, cap)
     n = network.node_count
     m = network.arc_count
     if n == 1:
@@ -165,30 +124,5 @@ def reliability_oracle(
         while parent[y] != y:
             y = parent[y]
         if x == y:
-            total += low[bits & low_mask] * high[bits >> shift]
-    return total
-
-
-def reliability_bat(
-    network: Network, cap: int = DEFAULT_ENUMERATION_CAP, budget: Budget | None = None
-) -> float:
-    """Full enumeration in successor order, built from the public pieces.
-
-    Same 2^m sweep as the oracle but driven by enumerate_vectors and
-    is_connected, which keeps it an independent cross-check of both.
-    """
-    _check_cap(network, cap)
-    if network.node_count == 1:
-        return 1.0
-    low, high, shift = half_probability_tables(network.probabilities())
-    low_mask = (1 << shift) - 1
-    total = 0.0
-    counter = 0
-    for bits in enumerate_vectors(network.arc_count):
-        if budget is not None:
-            counter += 1
-            if counter & (_BUDGET_STRIDE - 1) == 0:
-                budget.check()
-        if is_connected(network, bits):
             total += low[bits & low_mask] * high[bits >> shift]
     return total

@@ -8,9 +8,9 @@ from dataclasses import dataclass, field
 from . import bat, quickbat, stm
 from .budget import Budget, BudgetExceeded
 from .generators import GeneratorSpec, build
-from .network import Network, network_digest
+from .network import Network
 
-BACKENDS = ("oracle", "bat", "qbat", "qb2")
+BACKENDS = ("oracle", "qbat", "qb2")
 
 DEFAULT_BUDGET_S = 60.0
 DEFAULT_TOLERANCE = 1e-9
@@ -22,7 +22,6 @@ class RunResult:
     status: str  # ok | timeout | skipped
     reliability: float | None
     wall_time_s: float
-    network_digest: str
     counters: dict | None = None
     detail: str = ""
 
@@ -41,15 +40,12 @@ def run_backend(
     """
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
-    digest = network_digest(network)
     budget = Budget(budget_s) if budget_s is not None else None
     counters: dict | None = None
     start = time.perf_counter()
     try:
         if backend == "oracle":
             value = bat.reliability_oracle(network, cap=cap, budget=budget)
-        elif backend == "bat":
-            value = bat.reliability_bat(network, cap=cap, budget=budget)
         elif backend == "qbat":
             stats = quickbat.QuickBatStats()
             value = quickbat.reliability_quick_bat(network, budget=budget, stats=stats)
@@ -66,17 +62,13 @@ def run_backend(
                 counters = qb2_counters.as_dict()
     except bat.EnumerationCapExceeded as exc:
         return RunResult(
-            backend, "skipped", None, time.perf_counter() - start, digest,
-            detail=str(exc),
+            backend, "skipped", None, time.perf_counter() - start, detail=str(exc)
         )
     except BudgetExceeded as exc:
         return RunResult(
-            backend, "timeout", None, time.perf_counter() - start, digest,
-            detail=str(exc),
+            backend, "timeout", None, time.perf_counter() - start, detail=str(exc)
         )
-    return RunResult(
-        backend, "ok", value, time.perf_counter() - start, digest, counters
-    )
+    return RunResult(backend, "ok", value, time.perf_counter() - start, counters)
 
 
 @dataclass

@@ -28,12 +28,6 @@ class Budget:
         self.seconds = seconds
         self._deadline = time.monotonic() + seconds
 
-    def expired(self) -> bool:
-        return time.monotonic() > self._deadline
-
     def check(self) -> None:
         if time.monotonic() > self._deadline:
             raise BudgetExceeded(self.seconds)
-
-    def remaining(self) -> float:
-        return max(0.0, self._deadline - time.monotonic())

@@ -5,8 +5,8 @@ success, 1 for parse or validation failures, 2 for bad usage (argparse),
 3 when a backend refuses an enumeration above its cap, 4 when a
 crosscheck exceeds its tolerance.
 
-The environment variable RELENGINE_ORACLE_CAP overrides the arc-count
-cap of the full-enumeration backends.
+The environment variable RELENGINE_ORACLE_CAP overrides the oracle's
+arc-count cap.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import sys
 
 from . import bat, bench, generators
 from .decompose import explain_decomposition
-from .network import NetworkError, format_network, parse_network
+from .network import NetworkError, format_network, network_digest, parse_network
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 1
@@ -89,7 +89,7 @@ def _cmd_compute(args) -> int:
             "formatted": format_reliability(result.reliability),
             "backend": result.backend,
             "wall_time_s": result.wall_time_s,
-            "network_digest": result.network_digest,
+            "network_digest": network_digest(network),
         }
         if args.counters:
             payload["counters"] = result.counters

@@ -29,12 +29,6 @@ def unit_weights(network: Network) -> ArcWeighting:
     return (1,) * network.arc_count
 
 
-def fc_weights(network: Network) -> ArcWeighting:
-    """Weight 2^(m-i) for arc i: early arcs heavy, late arcs light."""
-    m = network.arc_count
-    return tuple(1 << (m - i) for i in range(1, m + 1))
-
-
 def ld_weights(network: Network) -> ArcWeighting:
     """Weight 2^i for arc i: early arcs light, late arcs heavy."""
     return tuple(1 << i for i in range(1, network.arc_count + 1))

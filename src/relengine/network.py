@@ -22,6 +22,8 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
+from .unionfind import union
+
 
 class NetworkError(Exception):
     """Base class for everything parse_network can raise."""
@@ -78,22 +80,8 @@ class Network:
 
 
 def _connected_with_all_arcs(node_count: int, arcs: tuple[Arc, ...]) -> bool:
-    if node_count == 1:
-        return True
     parent = list(range(node_count + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    merged = 0
-    for a in arcs:
-        ru, rv = find(a.u), find(a.v)
-        if ru != rv:
-            parent[ru] = rv
-            merged += 1
+    merged = sum(union(parent, a.u, a.v) for a in arcs)
     return merged == node_count - 1
 
 

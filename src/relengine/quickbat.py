@@ -67,47 +67,6 @@ def last_disconnected(network: Network) -> int:
     return bits
 
 
-def super_vector_probability(network: Network, prefix_bits: int, length: int) -> float:
-    """Probability mass of all completions of a k-arc prefix.
-
-    Only the first `length` arc factors participate; the undecided arcs
-    contribute total mass one.
-    """
-    if not 0 <= length <= network.arc_count:
-        raise ValueError("prefix length out of range")
-    prob = 1.0
-    for a in network.arcs[:length]:
-        prob *= a.p if (prefix_bits >> (a.id - 1)) & 1 else 1.0 - a.p
-    return prob
-
-
-def super_vector_connected(network: Network, prefix_bits: int, length: int) -> bool:
-    """Connectivity of the prefix with every undecided arc treated as failed.
-
-    This is the pessimistic reading, the only one under which a connected
-    prefix certifies all of its completions connected.
-    """
-    if not 0 <= length <= network.arc_count:
-        raise ValueError("prefix length out of range")
-    n = network.node_count
-    if n == 1:
-        return True
-    parent = list(range(n + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a in network.arcs[:length]:
-        if (prefix_bits >> (a.id - 1)) & 1:
-            ru, rv = find(a.u), find(a.v)
-            if ru != rv:
-                parent[ru] = rv
-    return find(1) == find(n)
-
-
 def tail_mass_above(probs, bits: int, stats: QuickBatStats | None = None) -> float:
     """Probability that a random vector's value strictly exceeds `bits`.
 

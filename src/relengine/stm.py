@@ -16,6 +16,7 @@ from .bat import half_probability_tables
 from .budget import Budget
 from .decompose import Stage, decompose
 from .network import Network
+from .unionfind import find, union
 
 _BUDGET_STRIDE = 4096
 
@@ -49,15 +50,6 @@ class SourceTargetMatrix:
 
     def row_bits(self, row: int) -> int:
         return (self.bits >> (row * self.cols)) & ((1 << self.cols) - 1)
-
-    def to_rows(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(
-            tuple(self.entry(r, c) for c in range(self.cols))
-            for r in range(self.rows)
-        )
-
-    def is_zero(self) -> bool:
-        return self.bits == 0
 
     def __str__(self) -> str:
         return "[" + "; ".join(
@@ -145,21 +137,12 @@ def stm_from_vector(network: Network, stage: Stage, bits: int) -> SourceTargetMa
     """
     local = {node: idx for idx, node in enumerate(stage.node_ids)}
     parent = list(range(len(stage.node_ids)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for h, arc_id in enumerate(stage.arc_ids):
         if (bits >> h) & 1:
             a = network.arcs[arc_id - 1]
-            ru, rv = find(local[a.u]), find(local[a.v])
-            if ru != rv:
-                parent[ru] = rv
-    source_roots = [find(local[s]) for s in stage.source_nodes]
-    target_roots = [find(local[t]) for t in stage.target_nodes]
+            union(parent, local[a.u], local[a.v])
+    source_roots = [find(parent, local[s]) for s in stage.source_nodes]
+    target_roots = [find(parent, local[t]) for t in stage.target_nodes]
     out = 0
     pos = 0
     for rs in source_roots:

@@ -1,0 +1,24 @@
+"""Disjoint-set forest over a plain parent list, shared by the connectivity checks.
+
+The caller owns the list (``parent = list(range(size))``), so a fresh
+forest costs one list copy and the hot loops pay no attribute lookups.
+"""
+
+from __future__ import annotations
+
+
+def find(parent: list[int], x: int) -> int:
+    """Root of x's set, halving the path on the way up."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def union(parent: list[int], x: int, y: int) -> bool:
+    """Merge the sets of x and y; True when they were separate."""
+    rx, ry = find(parent, x), find(parent, y)
+    if rx == ry:
+        return False
+    parent[rx] = ry
+    return True

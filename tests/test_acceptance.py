@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from relengine.bat import reliability_bat, reliability_oracle
+from relengine.bat import reliability_oracle
 from relengine.bench import run_backend
 from relengine.decompose import decompose
 from relengine.generators import GeneratorSpec, build, random_network
@@ -47,12 +47,11 @@ def corpus():
     """300 seeded random networks with oracle values and backend deltas."""
     rng = random.Random(CORPUS_SEED)
     networks = []
-    deltas = {"bat": 0.0, "qbat": 0.0, "qb2": 0.0}
+    deltas = {"qbat": 0.0, "qb2": 0.0}
     start = time.perf_counter()
     for _ in range(CORPUS_SIZE):
         net = random_network(rng, node_range=(4, 8), arc_range=(5, 14))
         reference = reliability_oracle(net)
-        deltas["bat"] = max(deltas["bat"], abs(reliability_bat(net) - reference))
         deltas["qbat"] = max(
             deltas["qbat"], abs(reliability_quick_bat(net) - reference)
         )
@@ -68,7 +67,6 @@ def test_criterion_1_uniform_golden_value(example_uniform):
     start = time.perf_counter()
     values = {
         "oracle": reliability_oracle(example_uniform),
-        "bat": reliability_bat(example_uniform),
         "qbat": reliability_quick_bat(example_uniform),
         "qb2": reliability_qb2(example_uniform)[0],
     }
@@ -215,7 +213,7 @@ def test_criterion_5_backend_equivalence_on_corpus(corpus):
         5,
         ok,
         f"{CORPUS_SIZE} networks, max |R - oracle|: "
-        f"bat {deltas['bat']:.2e}, qbat {deltas['qbat']:.2e}, "
+        f"qbat {deltas['qbat']:.2e}, "
         f"qb2 {deltas['qb2']:.2e}, all <= 1e-10, {elapsed:.1f} s < 60 s",
     )
 

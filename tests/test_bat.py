@@ -8,17 +8,12 @@ from relengine.bat import (
     DEFAULT_ENUMERATION_CAP,
     EnumerationCapExceeded,
     bits_from_states,
-    enumerate_vectors,
     half_probability_tables,
     is_connected,
-    next_vector,
-    reliability_bat,
     reliability_oracle,
-    states_from_bits,
-    vector_probability,
 )
 from relengine.budget import Budget, BudgetExceeded
-from relengine.generators import GeneratorSpec, build, random_network
+from relengine.generators import GeneratorSpec, build
 from relengine.network import make_network
 
 
@@ -26,54 +21,7 @@ def test_bits_round_trip():
     states = (0, 1, 1, 0, 1)
     bits = bits_from_states(states)
     assert bits == 0b10110
-    assert states_from_bits(bits, 5) == states
-
-
-def test_next_vector_flips_first_zero_and_clears_below():
-    assert next_vector(bits_from_states((0, 0, 1)), 3) == bits_from_states((1, 0, 1))
-    assert next_vector(bits_from_states((1, 0, 1)), 3) == bits_from_states((0, 1, 1))
-    assert next_vector(bits_from_states((1, 1, 1)), 3) is None
-
-
-def test_next_vector_rejects_zero_width():
-    with pytest.raises(ValueError):
-        next_vector(0, 0)
-
-
-def test_enumeration_order_is_binary_counting():
-    got = [states_from_bits(b, 2) for b in enumerate_vectors(2)]
-    assert got == [(0, 0), (1, 0), (0, 1), (1, 1)]
-
-
-def test_enumeration_from_midpoint():
-    start = bits_from_states((1, 1, 0))
-    got = [states_from_bits(b, 3) for b in enumerate_vectors(3, start)]
-    assert got == [(1, 1, 0), (0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)]
-
-
-def test_enumeration_agrees_with_next_vector_chain():
-    chain = [0]
-    while True:
-        succ = next_vector(chain[-1], 4)
-        if succ is None:
-            break
-        chain.append(succ)
-    assert chain == list(enumerate_vectors(4))
-
-
-@pytest.mark.parametrize("width", [1, 5, 11, 16])
-def test_enumeration_is_complete_and_duplicate_free(width):
-    seen = list(enumerate_vectors(width))
-    assert len(seen) == 1 << width
-    assert len(set(seen)) == 1 << width
-
-
-def test_kth_vector_encodes_k_minus_one():
-    for k, bits in enumerate(enumerate_vectors(7), start=1):
-        assert bits == k - 1
-    # Vectors strictly before X equal its encoded integer; the example's
-    # first connected vector (0,1,0,0,0,1,0) therefore skips 34 of them.
-    assert bits_from_states((0, 1, 0, 0, 0, 1, 0)) == 34
+    assert tuple((bits >> i) & 1 for i in range(5)) == states
 
 
 def test_connectivity_on_example(example_uniform):
@@ -94,17 +42,25 @@ def test_connectivity_is_monotone(example_uniform):
             assert is_connected(example_uniform, y)
 
 
-def test_vector_probability_all_ones(example_uniform):
-    full = (1 << 7) - 1
-    assert vector_probability(example_uniform, full) == pytest.approx(
+def vector_probability(probs, bits):
+    """Product of p_i over set coordinates and 1 - p_i over clear ones."""
+    return math.prod(p if (bits >> i) & 1 else 1.0 - p for i, p in enumerate(probs))
+
+
+def split_probability(probs, bits):
+    low, high, shift = half_probability_tables(probs)
+    return low[bits & ((1 << shift) - 1)] * high[bits >> shift]
+
+
+def test_vector_probability_all_ones():
+    assert split_probability([0.9] * 7, (1 << 7) - 1) == pytest.approx(
         0.9**7, abs=1e-15
     )
 
 
 def test_vector_probability_mixed_states():
-    net = make_network(6, [(i, i + 1, 0.8) for i in range(1, 6)])
     bits = bits_from_states((0, 1, 0, 1, 1))
-    assert vector_probability(net, bits) == pytest.approx(
+    assert split_probability([0.8] * 5, bits) == pytest.approx(
         0.8**3 * 0.2**2, abs=1e-15
     )
 
@@ -112,13 +68,9 @@ def test_vector_probability_mixed_states():
 @pytest.mark.parametrize("width", [1, 4, 9, 16])
 def test_probability_mass_sums_to_one(width):
     rng = random.Random(width)
-    net = make_network(
-        width + 1,
-        [(i, i + 1, rng.random()) for i in range(1, width + 1)],
-    )
-    total = math.fsum(
-        vector_probability(net, bits) for bits in enumerate_vectors(width)
-    )
+    probs = [rng.random() for _ in range(width)]
+    low, high, _ = half_probability_tables(probs)
+    total = math.fsum(lo * hi for hi in high for lo in low)
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
@@ -132,14 +84,9 @@ def test_probability_mass_sums_to_one(width):
 )
 @settings(max_examples=60)
 def test_half_tables_reconstruct_every_vector_probability(probs, data):
-    net = make_network(
-        len(probs) + 1, [(i, i + 1, p) for i, p in enumerate(probs, start=1)]
-    )
-    low, high, shift = half_probability_tables(net.probabilities())
     bits = data.draw(st.integers(min_value=0, max_value=(1 << len(probs)) - 1))
-    expected = vector_probability(net, bits)
-    assert low[bits & ((1 << shift) - 1)] * high[bits >> shift] == pytest.approx(
-        expected, rel=1e-12, abs=1e-300
+    assert split_probability(probs, bits) == pytest.approx(
+        vector_probability(probs, bits), rel=1e-12, abs=1e-300
     )
 
 
@@ -171,15 +118,6 @@ def test_oracle_respects_budget():
     net = build(GeneratorSpec("ladder", 6, 0.5))  # 20 arcs
     with pytest.raises(BudgetExceeded):
         reliability_oracle(net, budget=Budget(1e-7))
-
-
-def test_bat_equals_oracle_on_random_networks():
-    rng = random.Random(11)
-    for _ in range(60):
-        net = random_network(rng)
-        assert reliability_bat(net) == pytest.approx(
-            reliability_oracle(net), abs=1e-13
-        )
 
 
 def test_deterministic_arc_probability_pins_reliability():

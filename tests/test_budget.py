@@ -7,16 +7,12 @@ from relengine.budget import Budget, BudgetExceeded
 
 def test_budget_allows_work_inside_the_window():
     b = Budget(60.0)
-    assert not b.expired()
     b.check()
-    assert b.remaining() > 0
 
 
 def test_budget_expires():
     b = Budget(0.005)
     time.sleep(0.02)
-    assert b.expired()
-    assert b.remaining() == 0.0
     with pytest.raises(BudgetExceeded) as err:
         b.check()
     assert err.value.seconds == 0.005

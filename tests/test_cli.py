@@ -47,7 +47,7 @@ def test_compute_default_backend(example_file, capsys):
     assert err == ""
 
 
-@pytest.mark.parametrize("backend", ["oracle", "bat", "qbat", "qb2"])
+@pytest.mark.parametrize("backend", ["oracle", "qbat", "qb2"])
 def test_compute_every_backend_agrees(example_file, capsys, backend):
     code, out, _ = run_cli(
         ["compute", example_file, "--backend", backend], capsys
@@ -147,6 +147,21 @@ def test_usage_errors_exit_two(example_file, capsys):
     assert err.value.code == 2
 
 
+def test_removed_bat_backend_is_a_usage_error(example_file, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["compute", example_file, "--backend", "bat"])
+    assert err.value.code == 2
+    code, _, err = run_cli(
+        [
+            "bench", "--family", "series", "--k-min", "1", "--k-max", "1",
+            "--p", "0.5", "--backends", "bat",
+        ],
+        capsys,
+    )
+    assert code == 2
+    assert "unknown backend 'bat'" in err
+
+
 def test_oracle_cap_env_override(example_file, capsys, monkeypatch):
     monkeypatch.setenv("RELENGINE_ORACLE_CAP", "5")
     code, _, err = run_cli(
@@ -171,8 +186,9 @@ def test_crosscheck_file_passes(example_file, capsys):
     code, out, _ = run_cli(["crosscheck", example_file], capsys)
     assert code == 0
     assert "PASS" in out
-    for name in ("oracle", "bat", "qbat", "qb2"):
-        assert name in out
+    assert [line.split()[0] for line in out.splitlines()[:-1]] == [
+        "oracle", "qbat", "qb2",
+    ]
 
 
 def test_crosscheck_zero_tolerance_fails(example_file, capsys):

@@ -4,7 +4,6 @@ import random
 import pytest
 
 from relengine.graphops import (
-    fc_weights,
     ld_weights,
     min_cut,
     min_cut_partition,
@@ -55,28 +54,24 @@ def disconnects(net, removed_ids, sources, sink):
 def test_weight_helpers_on_seven_arcs():
     net = make_network(8, [(i, i + 1, 0.5) for i in range(1, 8)])
     assert unit_weights(net) == (1,) * 7
-    assert fc_weights(net) == (64, 32, 16, 8, 4, 2, 1)
     assert ld_weights(net) == (2, 4, 8, 16, 32, 64, 128)
 
 
 def test_weight_helpers_on_one_arc():
     net = make_network(2, [(1, 2, 0.5)])
-    assert fc_weights(net) == (1,)
     assert ld_weights(net) == (2,)
 
 
 def test_weight_helpers_are_monotone_power_of_two_sequences():
     net = make_network(6, [(i, i + 1, 0.5) for i in range(1, 6)])
-    fc = fc_weights(net)
     ld = ld_weights(net)
-    assert all(a > b for a, b in zip(fc, fc[1:]))
     assert all(a < b for a, b in zip(ld, ld[1:]))
-    assert all(w & (w - 1) == 0 for w in fc + ld)
+    assert all(w & (w - 1) == 0 for w in ld)
 
 
 def test_shortest_path_on_example(example_uniform):
     assert shortest_path(example_uniform, unit_weights(example_uniform)) == (2, 6)
-    assert shortest_path(example_uniform, fc_weights(example_uniform)) == (2, 6)
+    assert shortest_path(example_uniform, (64, 32, 16, 8, 4, 2, 1)) == (2, 6)
 
 
 def test_shortest_path_single_arc():

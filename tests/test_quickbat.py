@@ -8,7 +8,6 @@ from relengine.bat import (
     bits_from_states,
     is_connected,
     reliability_oracle,
-    vector_probability,
 )
 from relengine.budget import Budget, BudgetExceeded
 from relengine.generators import GeneratorSpec, build, random_network
@@ -18,8 +17,6 @@ from relengine.quickbat import (
     first_connected,
     last_disconnected,
     reliability_quick_bat,
-    super_vector_connected,
-    super_vector_probability,
     tail_mass_above,
 )
 
@@ -76,41 +73,6 @@ def test_landmarks_are_exact_on_fourteen_arcs():
     landmark_sweep(build(GeneratorSpec("ladder", 4, 0.5)))  # m = 14
 
 
-def test_super_vector_probability_examples():
-    net = make_network(6, [(i, i + 1, 0.8) for i in range(1, 6)])
-    bits = bits_from_states((0, 1, 0, 1, 1))
-    assert super_vector_probability(net, bits, 5) == pytest.approx(
-        0.8**3 * 0.2**2, abs=1e-15
-    )
-    assert super_vector_probability(net, 0, 0) == 1.0
-    one = make_network(2, [(1, 2, 0.9)])
-    assert super_vector_probability(one, 0b1, 1) == pytest.approx(0.9)
-    with pytest.raises(ValueError):
-        super_vector_probability(net, 0, 6)
-
-
-def test_super_vector_connected_examples(example_uniform):
-    assert super_vector_connected(
-        example_uniform, bits_from_states((1, 0, 1, 0, 0, 1)), 6
-    )
-    assert not super_vector_connected(example_uniform, 0b11, 2)
-    assert super_vector_connected(
-        example_uniform, bits_from_states((0, 1, 0, 0, 0, 1)), 6
-    )
-    with pytest.raises(ValueError):
-        super_vector_connected(example_uniform, 0, 9)
-
-
-def test_super_vector_connected_matches_pessimistic_completion(example_uniform):
-    # A connected prefix certifies exactly the vectors whose failed-arc
-    # completion is connected.
-    for length in range(8):
-        for prefix in range(1 << length):
-            assert super_vector_connected(
-                example_uniform, prefix, length
-            ) == is_connected(example_uniform, prefix)
-
-
 def test_tail_mass_on_example(example_uniform):
     hi = last_disconnected(example_uniform)
     expected = 2 * (0.9**6) * 0.1 + 0.9**7
@@ -129,15 +91,13 @@ def test_tail_mass_on_example(example_uniform):
 )
 @settings(max_examples=60)
 def test_tail_mass_matches_enumeration(probs, data):
-    net = make_network(
-        len(probs) + 1, [(i, i + 1, p) for i, p in enumerate(probs, start=1)]
-    )
-    m = net.arc_count
+    m = len(probs)
     bits = data.draw(st.integers(min_value=0, max_value=(1 << m) - 1))
     expected = math.fsum(
-        vector_probability(net, x) for x in range(bits + 1, 1 << m)
+        math.prod(p if (x >> i) & 1 else 1.0 - p for i, p in enumerate(probs))
+        for x in range(bits + 1, 1 << m)
     )
-    assert tail_mass_above(net.probabilities(), bits) == pytest.approx(
+    assert tail_mass_above(probs, bits) == pytest.approx(
         expected, rel=1e-12, abs=1e-12
     )
 

@@ -28,14 +28,13 @@ def M(rows):
 def test_matrix_round_trip_and_equality():
     m = M([[1, 0], [1, 1]])
     assert m.rows == 2 and m.cols == 2
-    assert m.to_rows() == ((1, 0), (1, 1))
+    assert m.bits == 0b1101
     assert m.entry(0, 0) == 1 and m.entry(0, 1) == 0
     assert str(m) == "[1 0; 1 1]"
     assert m == M([[1, 0], [1, 1]])
     assert hash(m) == hash(M([[1, 0], [1, 1]]))
     assert m != M([[1, 0], [0, 1]])
-    assert not m.is_zero()
-    assert M([[0, 0]]).is_zero()
+    assert M([[0, 0]]).bits == 0
 
 
 def test_matrix_reshape_changes_identity():
