@@ -1,4 +1,4 @@
-"""The full-enumeration backend (the oracle) and its state-vector helpers.
+"""The full-enumeration backend (the oracle) and its probability tables.
 
 A state vector over m arcs is stored as an integer bitmask with arc 1 on
 the least significant bit. The enumeration successor rule (flip the first
@@ -13,7 +13,6 @@ from collections.abc import Sequence
 
 from .budget import Budget
 from .network import Network
-from .unionfind import find, union
 
 DEFAULT_ENUMERATION_CAP = 30
 
@@ -30,25 +29,6 @@ class EnumerationCapExceeded(RuntimeError):
         )
         self.arc_count = arc_count
         self.cap = cap
-
-
-def bits_from_states(states: Sequence[int]) -> int:
-    """Pack (x(a_1), x(a_2), ...) into a bitmask, arc 1 least significant."""
-    bits = 0
-    for i, s in enumerate(states):
-        if s not in (0, 1):
-            raise ValueError(f"state {s!r} at coordinate {i + 1} is not binary")
-        bits |= s << i
-    return bits
-
-
-def is_connected(network: Network, bits: int) -> bool:
-    """True when node 1 reaches node n over the arcs set in `bits`."""
-    parent = list(range(network.node_count + 1))
-    for a in network.arcs:
-        if (bits >> (a.id - 1)) & 1:
-            union(parent, a.u, a.v)
-    return find(parent, network.source) == find(parent, network.sink)
 
 
 def half_probability_tables(

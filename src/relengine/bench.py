@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import bat, quickbat, stm
 from .budget import Budget, BudgetExceeded
@@ -50,12 +50,7 @@ def run_backend(
             stats = quickbat.QuickBatStats()
             value = quickbat.reliability_quick_bat(network, budget=budget, stats=stats)
             if with_counters:
-                counters = {
-                    "super_vectors": stats.super_vectors,
-                    "connectivity_checks": stats.connectivity_checks,
-                    "multiplications": stats.multiplications,
-                    "summations": stats.summations,
-                }
+                counters = asdict(stats)
         else:
             value, qb2_counters = stm.reliability_qb2(network, budget=budget)
             if with_counters:

@@ -7,13 +7,13 @@ assigned to an adjacent stage to balance stage sizes, and consecutive
 stages share an ordered boundary node list that the matrix convolution
 engine folds over.
 
-Two repairs keep the stage chain sound on arbitrary inputs:
-
-* an arc whose endpoints lie in non-adjacent regions would belong to
-  several cuts at once, so the regions it spans are merged first;
-* a boundary wider than two nodes is collapsed by merging its two
-  stages, because the fold carries only boundary reach sets and those
-  are exact precisely when every boundary has at most two nodes.
+No arc spans non-adjacent regions: the outer endpoints of every cut's
+arcs join the sources of the next cut, so an arc that crosses one cut
+ends on the source side of the next and crosses no other (`self_adjust`
+asserts this). One repair keeps the stage chain sound on arbitrary
+inputs: a boundary wider than two nodes is collapsed by merging its two
+stages, because the fold carries only boundary reach sets and those are
+exact precisely when every boundary has at most two nodes.
 """
 
 from __future__ import annotations
@@ -104,9 +104,7 @@ def find_shortest_mcs(network: Network) -> Decomposition:
             )
         )
 
-    regions = _regions_from_cuts(network, cuts)
-    regions = _merge_spanned_regions(network, regions)
-    return Decomposition(path, tuple(cuts), regions)
+    return Decomposition(path, tuple(cuts), _regions_from_cuts(network, cuts))
 
 
 def _regions_from_cuts(
@@ -120,40 +118,6 @@ def _regions_from_cuts(
         previous = cut.source_side
     regions.append(tuple(sorted(all_nodes - previous)))
     return tuple(r for r in regions if r)
-
-
-def _merge_spanned_regions(
-    network: Network, regions: tuple[tuple[int, ...], ...]
-) -> tuple[tuple[int, ...], ...]:
-    """Merge region runs so no arc spans more than one region boundary."""
-    region_of = {}
-    for idx, nodes in enumerate(regions):
-        for node in nodes:
-            region_of[node] = idx
-    boundaries = set(range(1, len(regions)))  # boundary b sits after region b-1
-    changed = True
-    while changed:
-        changed = False
-        for a in network.arcs:
-            j, k = sorted((region_of[a.u], region_of[a.v]))
-            if k - j < 2:
-                continue
-            crossing = sorted(b for b in boundaries if j < b <= k)
-            if len(crossing) > 1:
-                for b in crossing[1:]:
-                    boundaries.discard(b)
-                changed = True
-    if len(boundaries) == len(regions) - 1:
-        return regions
-    merged = []
-    current: list[int] = []
-    for idx, nodes in enumerate(regions):
-        if idx in boundaries and current:
-            merged.append(tuple(sorted(current)))
-            current = []
-        current.extend(nodes)
-    merged.append(tuple(sorted(current)))
-    return tuple(merged)
 
 
 def self_adjust(network: Network, decomposition: Decomposition) -> Decomposition:
@@ -179,9 +143,7 @@ def self_adjust(network: Network, decomposition: Decomposition) -> Decomposition
         elif k == j + 1:
             crossing[k].append(a.id)
         else:
-            raise AssertionError(
-                f"arc {a.id} spans non-adjacent regions after merging"
-            )
+            raise AssertionError(f"arc {a.id} spans non-adjacent regions")
 
     for b in range(1, count):
         left, right = b - 1, b

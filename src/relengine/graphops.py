@@ -1,9 +1,10 @@
 """Weighted shortest paths and minimum cuts on validated networks.
 
 Weights are exact Python integers so that the power-of-two weighting
-schemes stay collision free at any arc count; with distinct powers of
-two both the shortest path and the minimum cut are unique and no tie
-breaking is ever exercised.
+stays collision free at any arc count; with distinct powers of two the
+shortest path is unique and Dijkstra's tie breaking is never exercised.
+Minimum cuts take any non-negative integer capacities, and their ties
+are settled by a fixed rule: the cut with the smallest source side.
 """
 
 from __future__ import annotations
@@ -76,68 +77,6 @@ def shortest_path(network: Network, weighting: Sequence[int]) -> tuple[int, ...]
     return tuple(path)
 
 
-class _Dinic:
-    """Max flow on a small graph with integer capacities."""
-
-    def __init__(self, node_slots: int):
-        self.adj: list[list[int]] = [[] for _ in range(node_slots)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
-
-    def add_edge(self, u: int, v: int, cap_uv: int, cap_vu: int) -> None:
-        self.adj[u].append(len(self.to))
-        self.to.append(v)
-        self.cap.append(cap_uv)
-        self.adj[v].append(len(self.to))
-        self.to.append(u)
-        self.cap.append(cap_vu)
-
-    def _levels(self, src: int) -> list[int]:
-        level = [-1] * len(self.adj)
-        level[src] = 0
-        frontier = [src]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for e in self.adj[u]:
-                    v = self.to[e]
-                    if level[v] < 0 and self.cap[e] > 0:
-                        level[v] = level[u] + 1
-                        nxt.append(v)
-            frontier = nxt
-        return level
-
-    def _augment(self, u: int, snk: int, pushed: int, level, it) -> int:
-        if u == snk:
-            return pushed
-        while it[u] < len(self.adj[u]):
-            e = self.adj[u][it[u]]
-            v = self.to[e]
-            if self.cap[e] > 0 and level[v] == level[u] + 1:
-                got = self._augment(v, snk, min(pushed, self.cap[e]), level, it)
-                if got > 0:
-                    self.cap[e] -= got
-                    self.cap[e ^ 1] += got
-                    return got
-            it[u] += 1
-        return 0
-
-    def max_flow(self, src: int, snk: int) -> tuple[int, list[int]]:
-        """Returns (flow value, final level array for residual reachability)."""
-        flow = 0
-        big = sum(self.cap) + 1
-        while True:
-            level = self._levels(src)
-            if level[snk] < 0:
-                return flow, level
-            it = [0] * len(self.adj)
-            while True:
-                got = self._augment(src, snk, big, level, it)
-                if got == 0:
-                    break
-                flow += got
-
-
 def min_cut_partition(
     network: Network,
     capacities: Sequence[int],
@@ -146,10 +85,12 @@ def min_cut_partition(
 ) -> tuple[frozenset[int], frozenset[int]]:
     """Minimum capacity cut separating `sources` from `sinks`.
 
-    Returns (source_side, cut_arc_ids). The source side is the set of
-    real nodes still reachable from the sources in the residual graph;
-    the cut is every arc with exactly one endpoint on that side. When
-    several cuts tie this picks the one with the smallest source side.
+    Returns (source_side, cut_arc_ids). Shortest augmenting paths
+    (Edmonds-Karp) saturate a maximum flow; the source side is the set of
+    real nodes the last, failing search still reaches in the residual
+    graph, and the cut is every arc with exactly one endpoint on that
+    side. That set is the same after any maximum flow, so when several
+    cuts tie this picks the one with the smallest source side.
     """
     sources = sorted(set(sources))
     sinks = sorted(set(sinks))
@@ -162,32 +103,53 @@ def min_cut_partition(
         raise ValueError("capacity list length does not match arc count")
 
     n = network.node_count
-    super_src = 0
-    super_snk = n + 1
-    dinic = _Dinic(n + 2)
-    inf = sum(capacities) + 1
+    # Residual edges in pairs: edge e runs u -> v, edge e ^ 1 runs v -> u,
+    # and both start at the arc's capacity because arcs are undirected.
+    head: list[int] = []
+    cap: list[int] = []
+    out: list[list[int]] = [[] for _ in range(n + 1)]
     for a in network.arcs:
         c = capacities[a.id - 1]
-        dinic.add_edge(a.u, a.v, c, c)
-    for s in sources:
-        dinic.add_edge(super_src, s, inf, 0)
+        out[a.u].append(len(head))
+        head.append(a.v)
+        cap.append(c)
+        out[a.v].append(len(head))
+        head.append(a.u)
+        cap.append(c)
+    is_sink = [False] * (n + 1)
     for t in sinks:
-        dinic.add_edge(t, super_snk, inf, 0)
+        is_sink[t] = True
 
-    _, level = dinic.max_flow(super_src, super_snk)
-    side = frozenset(v for v in range(1, n + 1) if level[v] >= 0)
-    cut = frozenset(a.id for a in network.arcs if (a.u in side) != (a.v in side))
-    return side, cut
-
-
-def min_cut(
-    network: Network, weighting: Sequence[int], separated_sources: Iterable[int]
-) -> frozenset[int]:
-    """Arc set of minimum total weight separating every given source from node n."""
-    separated = set(separated_sources)
-    if not separated:
-        raise ValueError("separated_sources must be nonempty")
-    if network.sink in separated:
-        raise ValueError("separated_sources must not contain the sink")
-    _, cut = min_cut_partition(network, weighting, separated, {network.sink})
-    return cut
+    while True:
+        # Breadth-first search from every source at once; via[v] is the
+        # edge that first reached v, -1 at a source, None if unreached.
+        via: list[int | None] = [None] * (n + 1)
+        for s in sources:
+            via[s] = -1
+        queue = list(sources)
+        end = 0
+        for u in queue:
+            for e in out[u]:
+                v = head[e]
+                if cap[e] and via[v] is None:
+                    via[v] = e
+                    if is_sink[v]:
+                        end = v
+                        break
+                    queue.append(v)
+            if end:
+                break
+        if not end:
+            side = frozenset(v for v in range(1, n + 1) if via[v] is not None)
+            cut = frozenset(
+                a.id for a in network.arcs if (a.u in side) != (a.v in side)
+            )
+            return side, cut
+        path = []
+        while via[end] != -1:
+            path.append(via[end])
+            end = head[via[end] ^ 1]
+        push = min(cap[e] for e in path)
+        for e in path:
+            cap[e] -= push
+            cap[e ^ 1] += push

@@ -5,9 +5,11 @@ and the last disconnected vector split the 2^m state space into three
 zones: everything below the first connected vector is disconnected and
 carries no mass, everything above the last disconnected vector is
 connected and its mass has a closed form, and only the middle zone needs
-searching. The middle search walks prefixes depth first and prunes a
-whole subtree the moment its prefix is connected, because a connected
-prefix certifies every completion connected.
+searching. The first landmark comes from a shortest path and the last
+from a greedy union-find pass, so neither needs a flow. The middle
+search walks prefixes depth first and prunes a whole subtree the moment
+its prefix is connected, because a connected prefix certifies every
+completion connected.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from dataclasses import dataclass
 from . import graphops
 from .budget import Budget
 from .network import Network
+from .unionfind import find
 
 
 @dataclass
@@ -54,16 +57,20 @@ def first_connected(network: Network) -> int:
 def last_disconnected(network: Network) -> int:
     """The latest disconnected vector in enumeration order.
 
-    A disconnected vector's zero set contains a source-sink cut, so its
-    value is at most the value of some cut's complement; the largest such
-    complement belongs to the cut minimising the sum of place values,
-    i.e. the minimum cut under the increasing power-of-two weighting.
-    Every vector above that complement is therefore connected.
+    Clearing coordinates keeps a disconnected vector disconnected, so the
+    latest one is built greedily from the most significant coordinate
+    down: set arc i unless, together with the arcs already set, it would
+    join the source's component to the sink's. Every vector above the
+    result is connected.
     """
-    cut = graphops.min_cut(network, graphops.ld_weights(network), {network.source})
-    bits = (1 << network.arc_count) - 1
-    for arc_id in cut:
-        bits ^= 1 << (arc_id - 1)
+    parent = list(range(network.node_count + 1))
+    bits = 0
+    for a in reversed(network.arcs):
+        ru, rv = find(parent, a.u), find(parent, a.v)
+        ends = {find(parent, network.source), find(parent, network.sink)}
+        if {ru, rv} != ends:
+            parent[ru] = rv
+            bits |= 1 << (a.id - 1)
     return bits
 
 

@@ -23,7 +23,7 @@ from relengine.quickbat import (
     last_disconnected,
     reliability_quick_bat,
 )
-from relengine.bat import bits_from_states, is_connected
+from vectors import bits_from_states, is_connected
 from relengine.stm import (
     SourceTargetMatrix,
     convolve_sets,

@@ -7,14 +7,14 @@ from hypothesis import given, settings, strategies as st
 from relengine.bat import (
     DEFAULT_ENUMERATION_CAP,
     EnumerationCapExceeded,
-    bits_from_states,
     half_probability_tables,
-    is_connected,
     reliability_oracle,
 )
 from relengine.budget import Budget, BudgetExceeded
 from relengine.generators import GeneratorSpec, build
 from relengine.network import make_network
+
+from vectors import bits_from_states, is_connected
 
 
 def test_bits_round_trip():

@@ -5,13 +5,12 @@ import pytest
 
 from relengine.graphops import (
     ld_weights,
-    min_cut,
     min_cut_partition,
     shortest_path,
     unit_weights,
 )
 from relengine.network import Arc, Network, make_network
-from relengine.generators import random_network
+from relengine.generators import GeneratorSpec, build, random_network
 
 
 def all_simple_paths(net):
@@ -94,20 +93,20 @@ def test_shortest_path_reports_unreachable_sink():
 def test_min_cut_on_example(example_uniform):
     # Two unit-weight min cuts exist; the implementation settles ties by
     # taking the one nearest the source.
-    assert min_cut(example_uniform, unit_weights(example_uniform), {1}) == {1, 2}
-    assert min_cut(example_uniform, ld_weights(example_uniform), {1}) == {1, 2}
+    for weighting in (unit_weights(example_uniform), ld_weights(example_uniform)):
+        assert min_cut_partition(example_uniform, weighting, {1}, {5})[1] == {1, 2}
 
 
 def test_min_cut_single_arc():
     net = make_network(2, [(1, 2, 0.5)])
-    assert min_cut(net, ld_weights(net), {1}) == {1}
+    assert min_cut_partition(net, ld_weights(net), {1}, {2})[1] == {1}
 
 
 def test_min_cut_argument_validation(example_uniform):
-    with pytest.raises(ValueError):
-        min_cut(example_uniform, unit_weights(example_uniform), set())
-    with pytest.raises(ValueError):
-        min_cut(example_uniform, unit_weights(example_uniform), {1, 5})
+    with pytest.raises(ValueError, match="nonempty"):
+        min_cut_partition(example_uniform, unit_weights(example_uniform), set(), {5})
+    with pytest.raises(ValueError, match="overlap"):
+        min_cut_partition(example_uniform, unit_weights(example_uniform), {1, 5}, {5})
     with pytest.raises(ValueError):
         min_cut_partition(example_uniform, (1,) * 6, {1}, {5})
 
@@ -130,6 +129,37 @@ def test_min_cut_partition_zero_capacity_arc_can_cross(example_uniform):
     side, cut = min_cut_partition(example_uniform, caps, {1}, {5})
     assert 2 in cut
     assert disconnects(example_uniform, cut, {1}, 5)
+
+
+def test_min_cut_partition_ties_pick_smallest_source_side():
+    # Capacities from 0..3 tie often; every optimal source side contains
+    # the returned one, which is the intersection of them all.
+    rng = random.Random(44)
+    for _ in range(60):
+        net = random_network(rng, node_range=(4, 7), arc_range=(5, 12))
+        caps = [rng.randrange(4) for _ in range(net.arc_count)]
+        sources = {1} | set(rng.sample(range(2, net.node_count), k=1))
+        free = [v for v in range(1, net.node_count) if v not in sources]
+        sides = []
+        for mask in range(1 << len(free)):
+            side = sources | {v for i, v in enumerate(free) if (mask >> i) & 1}
+            weight = sum(
+                caps[a.id - 1] for a in net.arcs if (a.u in side) != (a.v in side)
+            )
+            sides.append((weight, frozenset(side)))
+        best = min(weight for weight, _ in sides)
+        smallest = frozenset.intersection(*(s for w, s in sides if w == best))
+        side, cut = min_cut_partition(net, caps, sources, {net.sink})
+        assert side == smallest
+        assert sum(caps[i - 1] for i in cut) == best
+
+
+def test_min_cut_partition_on_long_path_does_not_recurse():
+    net = build(GeneratorSpec("series", 1500, 0.9))
+    assert min_cut_partition(net, unit_weights(net), {1}, {1501}) == (
+        frozenset({1}),
+        frozenset({1}),
+    )
 
 
 def test_shortest_path_matches_exhaustive_search():
@@ -168,7 +198,7 @@ def test_min_cut_matches_exhaustive_search():
             weight = sum(weighting[i - 1] for i in removed)
             if best_weight is None or weight < best_weight:
                 best_weight, best_set = weight, removed
-        got = min_cut(net, weighting, sources)
+        got = min_cut_partition(net, weighting, sources, {net.sink})[1]
         assert got == best_set
         assert disconnects(net, got, sources, net.sink)
 
@@ -179,7 +209,7 @@ def test_min_cut_respects_multi_node_source_sets():
         net = random_network(rng, node_range=(5, 7), arc_range=(6, 10))
         nodes = list(range(1, net.node_count))
         sources = set(rng.sample(nodes, k=2))
-        cut = min_cut(net, unit_weights(net), sources)
+        cut = min_cut_partition(net, unit_weights(net), sources, {net.sink})[1]
         assert disconnects(net, cut, sources, net.sink)
         # Minimality of each single arc: putting any cut arc back restores
         # some source-sink connection.
@@ -190,7 +220,7 @@ def test_min_cut_respects_multi_node_source_sets():
 def test_unit_min_cut_size_matches_arc_disjoint_path_bound(example_uniform):
     # Menger: unit-capacity min cut size equals the max number of
     # arc-disjoint source-sink paths; the example has two.
-    cut = min_cut(example_uniform, unit_weights(example_uniform), {1})
+    cut = min_cut_partition(example_uniform, unit_weights(example_uniform), {1}, {5})[1]
     assert len(cut) == 2
     paths = all_simple_paths(example_uniform)
     disjoint_pairs = [

@@ -4,11 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from relengine.bat import (
-    bits_from_states,
-    is_connected,
-    reliability_oracle,
-)
+from relengine.bat import reliability_oracle
 from relengine.budget import Budget, BudgetExceeded
 from relengine.generators import GeneratorSpec, build, random_network
 from relengine.network import make_network
@@ -19,6 +15,8 @@ from relengine.quickbat import (
     reliability_quick_bat,
     tail_mass_above,
 )
+
+from vectors import bits_from_states, is_connected
 
 
 def test_first_connected_on_example(example_uniform):
@@ -46,6 +44,11 @@ def test_last_disconnected_trivial_networks():
     assert last_disconnected(make_network(2, [(1, 2, 0.5)])) == 0b0
     series = make_network(3, [(1, 2, 0.5), (2, 3, 0.5)])
     assert last_disconnected(series) == 0b10
+
+
+def test_last_disconnected_on_long_path_does_not_recurse():
+    net = build(GeneratorSpec("series", 1500, 0.9))
+    assert last_disconnected(net) == (1 << 1500) - 2
 
 
 def landmark_sweep(net):
