@@ -32,7 +32,7 @@ class EnumerationCapExceeded(RuntimeError):
 
 
 def half_probability_tables(
-    probs: Sequence[float],
+    probs: Sequence[float], budget: Budget | None = None
 ) -> tuple[list[float], list[float], int]:
     """Probability of every state vector, as two half-width tables.
 
@@ -40,23 +40,24 @@ def half_probability_tables(
     ``prob(bits) == low[bits & (2^shift - 1)] * high[bits >> shift]``,
     where prob(bits) is the product of p_i over set coordinates and
     1 - p_i over clear ones. Each table entry is a plain left-to-right
-    product of its arc factors.
+    product of its arc factors. The budget, if given, is checked before
+    each arc doubles a table.
     """
     m = len(probs)
     shift = m // 2
-    low = _table(probs[:shift])
-    high = _table(probs[shift:])
+    low = _table(probs[:shift], budget)
+    high = _table(probs[shift:], budget)
     return low, high, shift
 
 
-def _table(probs: Sequence[float]) -> list[float]:
-    width = len(probs)
-    out = [1.0] * (1 << width)
-    for bits in range(1 << width):
-        prob = 1.0
-        for i in range(width):
-            prob *= probs[i] if (bits >> i) & 1 else 1.0 - probs[i]
-        out[bits] = prob
+def _table(probs: Sequence[float], budget: Budget | None) -> list[float]:
+    # arc i appends its factor to every entry built so far: clear below
+    # 2^i, set from 2^i on, so each entry is still a left-to-right product
+    out = [1.0]
+    for p in probs:
+        if budget is not None:
+            budget.check()
+        out = [x * (1.0 - p) for x in out] + [x * p for x in out]
     return out
 
 
@@ -76,7 +77,7 @@ def reliability_oracle(
         return 1.0
     arc_u = [a.u for a in network.arcs]
     arc_v = [a.v for a in network.arcs]
-    low, high, shift = half_probability_tables(network.probabilities())
+    low, high, shift = half_probability_tables(network.probabilities(), budget)
     low_mask = (1 << shift) - 1
     base = list(range(n + 1))
     total = 0.0

@@ -14,6 +14,12 @@ asserts this). One repair keeps the stage chain sound on arbitrary
 inputs: a boundary wider than two nodes is collapsed by merging its two
 stages, because the fold carries only boundary reach sets and those are
 exact precisely when every boundary has at most two nodes.
+
+Boundaries follow the frontier rule (Kawahara et al., IEICE Trans.
+Fundamentals E100-A(9), 2017): with first[v] and last[v] the lowest and
+highest stage that has an arc at node v, v is on boundary s exactly when
+first[v] <= s < last[v]. So a node that skips a stage stays on every
+boundary it rides through, and the fold keeps the paths that return to it.
 """
 
 from __future__ import annotations
@@ -161,39 +167,36 @@ def self_adjust(network: Network, decomposition: Decomposition) -> Decomposition
     return replace(decomposition, stage_arcs=stage_arcs)
 
 
-def _incident_nodes(network: Network, arc_ids) -> set[int]:
-    nodes = set()
-    for arc_id in arc_ids:
-        a = network.arcs[arc_id - 1]
-        nodes.add(a.u)
-        nodes.add(a.v)
-    return nodes
+def _stage_spans(network: Network, arcsets) -> tuple[list[int], list[int]]:
+    """first[v] and last[v]: the lowest and highest stage with an arc at v.
 
-
-def _boundaries(
-    network: Network, arcsets: list[list[int]]
-) -> list[tuple[int, ...]]:
-    """Boundary s is every node incident to stages <= s and to stages > s.
-
-    Using full prefix and suffix incidence (rather than just the two
-    neighbouring stages) keeps a node that skips a stage present in every
-    boundary it must ride through.
+    A node with no arc gets the empty span (len(arcsets), -1).
     """
-    incidences = [_incident_nodes(network, arcs) for arcs in arcsets]
-    prefixes = []
-    seen: set[int] = set()
-    for inc in incidences:
-        seen = seen | inc
-        prefixes.append(seen)
-    suffixes = [set()] * len(incidences)
-    seen = set()
-    for idx in range(len(incidences) - 1, -1, -1):
-        seen = seen | incidences[idx]
-        suffixes[idx] = seen
-    return [
-        tuple(sorted(prefixes[s] & suffixes[s + 1]))
-        for s in range(len(arcsets) - 1)
-    ]
+    first = [len(arcsets)] * (network.node_count + 1)
+    last = [-1] * (network.node_count + 1)
+    for s, arcs in enumerate(arcsets):
+        for arc_id in arcs:
+            a = network.arcs[arc_id - 1]
+            for v in (a.u, a.v):
+                if last[v] < 0:
+                    first[v] = s
+                last[v] = s
+    return first, last
+
+
+def _bucket(first, last, count: int, reach: int) -> list[tuple[int, ...]]:
+    """Bucket s holds, in node order, each v with first[v] <= s < last[v] + reach.
+
+    With reach 0 bucket s is boundary s: the nodes with arcs in some
+    stage <= s and in some stage > s, so a node that skips a stage stays
+    in every boundary it rides through. With reach 1 bucket s is stage
+    s's node list: the nodes of its arcs plus those riding through it.
+    """
+    buckets: list[list[int]] = [[] for _ in range(count)]
+    for v in range(1, len(first)):
+        for s in range(first[v], last[v] + reach):
+            buckets[s].append(v)
+    return [tuple(b) for b in buckets]
 
 
 def stage_sources_targets(
@@ -203,46 +206,41 @@ def stage_sources_targets(
 
     Merges neighbouring stages until the chain is sound: the first stage
     must touch the source, the last must touch the sink, and no boundary
-    may hold more than two nodes.
+    may hold more than two nodes (the widest is merged first). Every
+    pass measures the stages from one stage-span table.
     """
     if decomposition.stage_arcs is None:
         raise ValueError("self_adjust must run before stage_sources_targets")
     arcsets = [list(arcs) for arcs in decomposition.stage_arcs]
 
-    def merge(at: int) -> None:
-        arcsets[at] = sorted(arcsets[at] + arcsets[at + 1])
-        del arcsets[at + 1]
-
-    while len(arcsets) > 1:
-        if network.source not in _incident_nodes(network, arcsets[0]):
-            merge(0)
-            continue
-        if network.sink not in _incident_nodes(network, arcsets[-1]):
-            merge(len(arcsets) - 2)
-            continue
-        boundaries = _boundaries(network, arcsets)
+    while True:
+        first, last = _stage_spans(network, arcsets)
+        end = len(arcsets) - 1
+        boundaries = _bucket(first, last, end, 0)
         widths = [len(b) for b in boundaries]
-        if max(widths) <= 2:
+        if end < 1:
             break
-        merge(widths.index(max(widths)))
+        if first[network.source] > 0:
+            at = 0
+        elif last[network.sink] < end:
+            at = end - 1
+        elif max(widths) > 2:
+            at = widths.index(max(widths))
+        else:
+            break
+        arcsets[at : at + 2] = [sorted(arcsets[at] + arcsets[at + 1])]
 
-    boundaries = _boundaries(network, arcsets) if len(arcsets) > 1 else []
-    stages = []
-    for idx, arcs in enumerate(arcsets):
-        source_nodes = (network.source,) if idx == 0 else boundaries[idx - 1]
-        target_nodes = (
-            (network.sink,) if idx == len(arcsets) - 1 else boundaries[idx]
-        )
-        node_ids = tuple(
-            sorted(_incident_nodes(network, arcs) | set(source_nodes) | set(target_nodes))
-        )
-        stages.append(
-            Stage(idx + 1, tuple(arcs), source_nodes, target_nodes, node_ids)
-        )
+    node_ids = _bucket(first, last, end + 1, 1)
+    sources = [(network.source,)] + boundaries
+    targets = boundaries + [(network.sink,)]
+    stages = tuple(
+        Stage(idx + 1, tuple(arcs), sources[idx], targets[idx], node_ids[idx])
+        for idx, arcs in enumerate(arcsets)
+    )
     return replace(
         decomposition,
         stage_arcs=tuple(tuple(arcs) for arcs in arcsets),
-        stages=tuple(stages),
+        stages=stages,
     )
 
 

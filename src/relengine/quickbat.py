@@ -10,6 +10,10 @@ from a greedy union-find pass, so neither needs a flow. The middle
 search walks prefixes depth first and prunes a whole subtree the moment
 its prefix is connected, because a connected prefix certifies every
 completion connected.
+
+The walk is one loop over an explicit stack of prefix frames, so the
+recursion limit does not bound the arc count. Popping a frame rolls the
+undo-trail union-find back to the trail length it was pushed with.
 """
 
 from __future__ import annotations
@@ -127,8 +131,8 @@ def reliability_quick_bat(
 
     tail = tail_mass_above(probs, hi, stats)
 
-    # Union-find with union by size and an undo trail, no path compression,
-    # so backtracking out of a prefix is O(1) per union made inside it.
+    # Union by size with an undo trail of real merges and no path
+    # compression, so backtracking costs O(1) per merge made inside a prefix.
     parent = list(range(n + 1))
     size = [1] * (n + 1)
     trail: list[int] = []
@@ -138,57 +142,50 @@ def reliability_quick_bat(
             x = parent[x]
         return x
 
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            trail.append(0)
-            return
-        if size[ra] > size[rb]:
-            ra, rb = rb, ra
-        parent[ra] = rb
-        size[rb] += size[ra]
-        trail.append(ra)
-
-    def undo() -> None:
-        ra = trail.pop()
-        if ra:
-            size[parent[ra]] -= size[ra]
-            parent[ra] = ra
-
     full_span = 1 << m
     total = 0.0
     visited = 0
-
-    def walk(k: int, value: int, prob: float, connected: bool) -> None:
-        nonlocal total, visited
+    # Frames (k, value, prob, connected, trail_mark); the 1-branch is pushed
+    # before the 0-branch, so frames pop in depth-first, 0-branch-first order.
+    # connected is None on the 1-branch of a disconnected prefix: arc k-1
+    # joins the union-find when the frame pops, and is checked then.
+    stack = [(0, 0, 1.0, False, 0)]
+    while stack:
+        k, value, prob, connected, mark = stack.pop()
+        while len(trail) > mark:
+            ra = trail.pop()
+            size[parent[ra]] -= size[ra]
+            parent[ra] = ra
+        if connected is None:
+            ra, rb = find(arc_u[k - 1]), find(arc_v[k - 1])
+            if ra != rb:
+                if size[ra] > size[rb]:
+                    ra, rb = rb, ra
+                parent[ra] = rb
+                size[rb] += size[ra]
+                trail.append(ra)
+            stats.connectivity_checks += 1
+            connected = find(1) == find(n)
         visited += 1
         if budget is not None and visited & 2047 == 0:
             budget.check()
         if value > hi:
-            return  # every completion lies in the tail zone
+            continue  # every completion lies in the tail zone
         top = value + full_span - (1 << k)
         if top < lo:
-            return  # every completion precedes the first connected vector
-        if connected:
-            if top <= hi:
-                total += prob
-                stats.super_vectors += 1
-                stats.summations += 1
-                return
-            # the subtree straddles the tail boundary: split it, children
-            # of a connected prefix stay connected without rechecking
-            stats.multiplications += 2
-            walk(k + 1, value, prob * (1.0 - probs[k]), True)
-            walk(k + 1, value + (1 << k), prob * probs[k], True)
-            return
+            continue  # every completion precedes the first connected vector
+        if connected and top <= hi:
+            total += prob
+            stats.super_vectors += 1
+            stats.summations += 1
+            continue
         if k == m:
-            return
+            continue
+        # split the prefix; a connected one straddles the tail boundary,
+        # and its children stay connected without rechecking
         stats.multiplications += 2
-        walk(k + 1, value, prob * (1.0 - probs[k]), False)
-        union(arc_u[k], arc_v[k])
-        stats.connectivity_checks += 1
-        walk(k + 1, value + (1 << k), prob * probs[k], find(1) == find(n))
-        undo()
-
-    walk(0, 0, 1.0, False)
+        mark = len(trail)
+        joined = True if connected else None
+        stack.append((k + 1, value + (1 << k), prob * probs[k], joined, mark))
+        stack.append((k + 1, value, prob * (1.0 - probs[k]), connected, mark))
     return total + tail

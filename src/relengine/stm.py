@@ -168,7 +168,7 @@ def tabulate_stage(
     """
     g = len(stage.arc_ids)
     probs = [network.arcs[arc_id - 1].p for arc_id in stage.arc_ids]
-    low, high, shift = half_probability_tables(probs)
+    low, high, shift = half_probability_tables(probs, budget)
     low_mask = (1 << shift) - 1
     out = WeightedStmSet()
     mults = 0

@@ -1,11 +1,14 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import relengine
 from relengine.cli import build_parser, format_reliability, main
 from relengine.generators import GeneratorSpec, build
 from relengine.network import format_network, network_digest, parse_network
@@ -110,6 +113,28 @@ def test_compute_explain_decomposition(example_file, capsys):
     assert code == 0
     assert "shortest path: a2 a6" in out
     assert "stage 3" in out
+
+
+def test_compute_explain_decomposition_single_node(tmp_path, capsys):
+    path = tmp_path / "one-node.net"
+    path.write_text("nodes 1\n")
+    code, out, _ = run_cli(
+        ["compute", str(path), "--explain-decomposition"], capsys
+    )
+    assert code == 0
+    assert "shortest path: (source equals sink)" in out
+
+
+def test_compute_qbat_on_long_series(tmp_path, capsys):
+    code, text, _ = run_cli(
+        ["generate", "--family", "series", "--k", "1200", "--p", "0.9"], capsys
+    )
+    assert code == 0
+    path = tmp_path / "series-1200.net"
+    path.write_text(text)
+    code, out, _ = run_cli(["compute", str(path), "--backend", "qbat"], capsys)
+    assert code == 0
+    assert float(out) == pytest.approx(0.9**1200, rel=1e-9)
 
 
 def test_compute_rejects_bad_file(tmp_path, capsys):
@@ -330,6 +355,10 @@ def test_parser_lists_all_subcommands():
 
 
 def test_console_script_entry_point(tmp_path):
+    # the child imports the package this test imported, installed or not
+    paths = [str(Path(relengine.__file__).resolve().parents[1])]
+    paths += [os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
     generated = subprocess.run(
         [
             sys.executable, "-m", "relengine.cli",
@@ -338,6 +367,7 @@ def test_console_script_entry_point(tmp_path):
         capture_output=True,
         text=True,
         check=True,
+        env=env,
     )
     path = tmp_path / "series.net"
     path.write_text(generated.stdout)
@@ -346,5 +376,6 @@ def test_console_script_entry_point(tmp_path):
         capture_output=True,
         text=True,
         check=True,
+        env=env,
     )
     assert computed.stdout == "0.7290000000\n"

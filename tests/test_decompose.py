@@ -196,3 +196,25 @@ def test_stage_sources_targets_requires_adjusted_input(example_uniform):
         pass
     else:  # pragma: no cover
         raise AssertionError("expected a ValueError for unadjusted input")
+
+
+def test_single_node_network_has_no_stages():
+    assert decompose(make_network(1, [])).stages == ()
+
+
+def test_node_rides_through_a_stage_without_arcs():
+    # node 2 has arcs in the first and the last stage but none in the
+    # middle one, so it stays on both boundaries and in the middle stage
+    net = make_network(
+        6,
+        [
+            (1, 3, 0.887396), (2, 4, 0.794423), (4, 6, 0.643843),
+            (3, 5, 0.249495), (1, 2, 0.507486), (3, 6, 0.783229),
+            (2, 6, 0.383928),
+        ],
+    )
+    d = decompose(net)
+    assert d.stage_arcs == ((1, 5), (4,), (2, 3, 6, 7))
+    assert tuple(s.target_nodes for s in d.stages) == ((2, 3), (2, 3), (6,))
+    assert d.stages[1].node_ids == (2, 3, 5)
+    check_stage_invariants(net, d)

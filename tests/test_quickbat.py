@@ -51,6 +51,12 @@ def test_last_disconnected_on_long_path_does_not_recurse():
     assert last_disconnected(net) == (1 << 1500) - 2
 
 
+def test_walk_on_long_path_does_not_recurse():
+    net = build(GeneratorSpec("series", 1500, 0.9))
+    expected = math.prod(net.probabilities())
+    assert reliability_quick_bat(net) == pytest.approx(expected, rel=1e-12, abs=0)
+
+
 def landmark_sweep(net):
     lo = first_connected(net)
     hi = last_disconnected(net)
