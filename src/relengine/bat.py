@@ -22,9 +22,10 @@ _BUDGET_STRIDE = 4096
 class EnumerationCapExceeded(RuntimeError):
     """Full 2^m enumeration refused because m exceeds the safety cap."""
 
-    def __init__(self, arc_count: int, cap: int):
+    def __init__(self, arc_count: int, cap: int, message: str | None = None):
         super().__init__(
-            f"full enumeration over {arc_count} arcs exceeds the cap of {cap}; "
+            message
+            or f"full enumeration over {arc_count} arcs exceeds the cap of {cap}; "
             "use the qb2 backend for networks this large"
         )
         self.arc_count = arc_count

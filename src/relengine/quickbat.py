@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from . import graphops
 from .budget import Budget
 from .network import Network
-from .unionfind import find
+from .unionfind import find, merge, root, undo
 
 
 @dataclass
@@ -137,11 +137,6 @@ def reliability_quick_bat(
     size = [1] * (n + 1)
     trail: list[int] = []
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
     full_span = 1 << m
     total = 0.0
     visited = 0
@@ -152,20 +147,12 @@ def reliability_quick_bat(
     stack = [(0, 0, 1.0, False, 0)]
     while stack:
         k, value, prob, connected, mark = stack.pop()
-        while len(trail) > mark:
-            ra = trail.pop()
-            size[parent[ra]] -= size[ra]
-            parent[ra] = ra
+        if len(trail) > mark:  # most pops have nothing to roll back
+            undo(parent, size, trail, mark)
         if connected is None:
-            ra, rb = find(arc_u[k - 1]), find(arc_v[k - 1])
-            if ra != rb:
-                if size[ra] > size[rb]:
-                    ra, rb = rb, ra
-                parent[ra] = rb
-                size[rb] += size[ra]
-                trail.append(ra)
+            merge(parent, size, trail, arc_u[k - 1], arc_v[k - 1])
             stats.connectivity_checks += 1
-            connected = find(1) == find(n)
+            connected = root(parent, 1) == root(parent, n)
         visited += 1
         if budget is not None and visited & 2047 == 0:
             budget.check()

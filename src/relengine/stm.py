@@ -2,21 +2,29 @@
 
 Each stage vector collapses to a small boolean matrix recording which
 stage source nodes reach which stage target nodes; equal matrices pool
-their probability. Folding consecutive stages is a boolean max-min
-matrix product, and because stage one has a single source node the
-accumulator is always one row, keeping every product linear in the
-boundary width.
+their probability. A stage is tabulated by one depth-first walk over
+its arcs, most significant arc first and 0-branch first, so its vectors
+arrive in integer order and every pooled mass is summed in the order a
+per-vector sweep (``stm_from_vector`` over ``range(2^g)``) would use;
+the tables are bit-identical to that sweep. Folding consecutive stages
+is a boolean max-min matrix product, and because stage one has a single
+source node the accumulator is always one row, keeping every product
+linear in the boundary width.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .bat import half_probability_tables
+from .bat import (
+    DEFAULT_ENUMERATION_CAP,
+    EnumerationCapExceeded,
+    half_probability_tables,
+)
 from .budget import Budget
 from .decompose import Stage, decompose
 from .network import Network
-from .unionfind import find, union
+from .unionfind import find, merge, undo, union
 
 _BUDGET_STRIDE = 4096
 
@@ -28,22 +36,6 @@ class SourceTargetMatrix:
     rows: int
     cols: int
     bits: int
-
-    @classmethod
-    def from_rows(cls, rows: list[list[int]]) -> "SourceTargetMatrix":
-        height = len(rows)
-        width = len(rows[0]) if rows else 0
-        bits = 0
-        pos = 0
-        for row in rows:
-            if len(row) != width:
-                raise ValueError("ragged matrix rows")
-            for cell in row:
-                if cell not in (0, 1):
-                    raise ValueError(f"matrix entry {cell!r} is not boolean")
-                bits |= cell << pos
-                pos += 1
-        return cls(height, width, bits)
 
     def entry(self, row: int, col: int) -> int:
         return (self.bits >> (row * self.cols + col)) & 1
@@ -79,9 +71,6 @@ class WeightedStmSet:
             self.entries[stm] += mass
         else:
             self.entries[stm] = mass
-
-    def total_mass(self) -> float:
-        return sum(self.entries.values())
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -161,31 +150,89 @@ def tabulate_stage(
 ) -> WeightedStmSet:
     """Pool the connectivity matrix of every stage vector.
 
-    Enumerates the 2^g stage vectors in successor order (the first 2^g
-    rows of the widest stage's enumeration, restricted to g columns, are
-    exactly this sequence) and merges equal matrices by adding their
-    probabilities. The all-zero matrix is dropped with its mass recorded.
+    One depth-first walk over the stage's arcs decides arc g-1 first and
+    arc 0 last, taking each 0-branch before its 1-branch, so the 2^g
+    leaves arrive in integer order: the successor order of the
+    enumeration, and the order in which ``stm_from_vector`` over
+    ``range(2^g)`` would visit them. A union-find with an undo trail
+    carries the merges of the decided arcs down the walk, so each leaf
+    only reads the roots of the source and target nodes. Each leaf's mass
+    is the same half-table product, added in that same order, so pooled
+    masses, ``discarded`` and the counters are bit-identical to a
+    per-vector sweep. Equal matrices merge by adding their
+    probabilities; the all-zero matrix is dropped with its mass recorded.
     """
     g = len(stage.arc_ids)
     probs = [network.arcs[arc_id - 1].p for arc_id in stage.arc_ids]
     low, high, shift = half_probability_tables(probs, budget)
     low_mask = (1 << shift) - 1
-    out = WeightedStmSet()
-    mults = 0
+    local = {node: idx for idx, node in enumerate(stage.node_ids)}
+    arc_u = [local[network.arcs[arc_id - 1].u] for arc_id in stage.arc_ids]
+    arc_v = [local[network.arcs[arc_id - 1].v] for arc_id in stage.arc_ids]
+    sources = [local[s] for s in stage.source_nodes]
+    targets = [local[t] for t in stage.target_nodes]
+    cols = len(targets)
+
+    # Union by size with an undo trail of real merges and no path
+    # compression, so backtracking costs O(1) per merge made below a frame.
+    parent = list(range(len(local)))
+    size = [1] * len(local)
+    trail: list[int] = []
+
+    pooled: dict[int, float] = {}
+    discarded = 0.0
     sums = 0
-    for bits in range(1 << g):
+    # Frames (k, bits, trail_mark): arcs k..g-1 are decided by bits and
+    # arcs below k are still open. Every frame but the root is the
+    # 1-branch of arc k, whose merge is made when the frame pops.
+    stack = [(g, 0, 0)]
+    while stack:
+        k, bits, mark = stack.pop()
+        if len(trail) > mark:  # most pops have nothing to roll back
+            undo(parent, size, trail, mark)
+        if k < g:
+            merge(parent, size, trail, arc_u[k], arc_v[k])
+        # follow the 0-branches down to the leaf, leaving each 1-branch
+        # on the stack; open arcs merge nothing, so they share one mark
+        mark = len(trail)
+        while k:
+            k -= 1
+            stack.append((k, bits | (1 << k), mark))
+
         if budget is not None and bits & (_BUDGET_STRIDE - 1) == 0:
             budget.check()
-        stm = stm_from_vector(network, stage, bits)
+        target_roots = []
+        for x in targets:
+            while parent[x] != x:
+                x = parent[x]
+            target_roots.append(x)
+        out = 0
+        pos = 0
+        for x in sources:
+            while parent[x] != x:
+                x = parent[x]
+            for col, rt in enumerate(target_roots):
+                if x == rt:
+                    out |= 1 << (pos + col)
+            pos += cols
         mass = low[bits & low_mask] * high[bits >> shift]
-        mults += 1
-        if stm.bits != 0 and stm in out.entries:
+        if out == 0:
+            discarded += mass
+        elif out in pooled:
+            pooled[out] += mass
             sums += 1
-        out.add(stm, mass)
+        else:
+            pooled[out] = mass
     if counters is not None:
-        counters.multiplications += mults
+        counters.multiplications += 1 << g
         counters.summations += sums
-    return out
+    rows = len(sources)
+    result = WeightedStmSet()
+    result.entries = {
+        SourceTargetMatrix(rows, cols, out): mass for out, mass in pooled.items()
+    }
+    result.discarded = discarded
+    return result
 
 
 def stm_convolve(
@@ -254,12 +301,23 @@ def reliability_qb2(
     pooling after each fold, and returns the total mass of the surviving
     final matrices, which are all the 1x1 connected matrix. Summation
     order is fixed (stage order, enumeration order within a stage,
-    insertion order in folds) so repeated runs are bit-identical.
+    insertion order in folds) so repeated runs are bit-identical. A stage
+    wider than DEFAULT_ENUMERATION_CAP arcs raises EnumerationCapExceeded
+    before any table is built.
     """
     counters = Counters()
     if network.node_count == 1:
         return 1.0, counters
     stages = decompose(network).stages or ()
+    widest = max(stages, key=lambda stage: len(stage.arc_ids))
+    width = len(widest.arc_ids)
+    if width > DEFAULT_ENUMERATION_CAP:
+        raise EnumerationCapExceeded(
+            width,
+            DEFAULT_ENUMERATION_CAP,
+            f"qb2 stage {widest.index} has {width} arcs, above the cap of "
+            f"{DEFAULT_ENUMERATION_CAP}; its 2^{width} vectors are not enumerated",
+        )
     pooled = []
     for stage in stages:
         if budget is not None:

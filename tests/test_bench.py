@@ -51,7 +51,8 @@ def test_run_backend_skips_above_cap(example_uniform):
     assert result.status == "skipped"
     assert result.reliability is None
     assert "cap" in result.detail
-    # enumeration-free backends ignore the cap
+    # qbat and qb2 ignore the oracle's cap; qb2 refuses only a stage
+    # wider than its own fixed cap of 30 arcs
     assert run_backend(example_uniform, "qb2", cap=3).status == "ok"
     assert run_backend(example_uniform, "qbat", cap=3).status == "ok"
 

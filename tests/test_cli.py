@@ -137,6 +137,23 @@ def test_compute_qbat_on_long_series(tmp_path, capsys):
     assert float(out) == pytest.approx(0.9**1200, rel=1e-9)
 
 
+def test_compute_refuses_wide_qb2_stage(tmp_path, capsys, monkeypatch):
+    def no_tables(*args, **kwargs):
+        raise AssertionError("a table was built above the cap")
+
+    monkeypatch.setattr("relengine.stm.half_probability_tables", no_tables)
+    code, text, _ = run_cli(
+        ["generate", "--family", "grid", "--k", "30", "--p", "0.9"], capsys
+    )
+    assert code == 0
+    path = tmp_path / "grid-30.net"
+    path.write_text(text)
+    code, out, err = run_cli(["compute", str(path)], capsys)
+    assert code == 3
+    assert out == ""
+    assert "qb2 stage 2 has 145 arcs, above the cap of 30" in err
+
+
 def test_compute_rejects_bad_file(tmp_path, capsys):
     path = tmp_path / "bad.net"
     path.write_text("nodes 3\narc 1 2 0.5\narc 1 2 0.6\narc 2 3 0.5\n")

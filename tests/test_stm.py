@@ -4,9 +4,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from relengine.bat import reliability_oracle
+from relengine.bat import (
+    EnumerationCapExceeded,
+    half_probability_tables,
+    reliability_oracle,
+)
+from relengine.budget import BudgetExceeded
 from relengine.decompose import decompose
-from relengine.generators import random_network
+from relengine.generators import GeneratorSpec, build, random_network
 from relengine.network import make_network
 from relengine.quickbat import reliability_quick_bat
 from relengine.stm import (
@@ -19,10 +24,13 @@ from relengine.stm import (
     stm_from_vector,
     tabulate_stage,
 )
+from vectors import bits_from_states
 
 
 def M(rows):
-    return SourceTargetMatrix.from_rows(rows)
+    return SourceTargetMatrix(
+        len(rows), len(rows[0]), bits_from_states(sum(rows, []))
+    )
 
 
 def test_matrix_round_trip_and_equality():
@@ -41,13 +49,6 @@ def test_matrix_reshape_changes_identity():
     assert M([[1, 0, 1]]) != M([[1], [0], [1]])
 
 
-def test_matrix_construction_validation():
-    with pytest.raises(ValueError):
-        M([[1, 0], [1]])
-    with pytest.raises(ValueError):
-        M([[2, 0]])
-
-
 def test_weighted_set_discards_zero_matrices():
     ws = WeightedStmSet()
     ws.add(M([[0, 0]]), 0.25)
@@ -55,7 +56,7 @@ def test_weighted_set_discards_zero_matrices():
     ws.add(M([[1, 0]]), 0.25)
     assert len(ws) == 1
     assert ws.discarded == 0.25
-    assert ws.total_mass() == 0.75
+    assert sum(ws.entries.values()) == 0.75
     assert all(mass > 0 for _, mass in ws.items())
 
 
@@ -94,7 +95,7 @@ def test_tabulate_first_stage(example_uniform):
         "[1 1]": pytest.approx(0.81),
     }
     assert ws.discarded == pytest.approx(0.01)
-    assert ws.total_mass() + ws.discarded == pytest.approx(1.0, abs=1e-12)
+    assert sum(ws.entries.values()) + ws.discarded == pytest.approx(1.0, abs=1e-12)
 
 
 def test_tabulate_middle_stage(example_uniform):
@@ -197,7 +198,7 @@ def test_convolve_sets_scalar_chain():
     stage.add(M([[1]]), 0.25)
     out = convolve_sets(acc, stage)
     assert len(out) == 1
-    assert out.total_mass() == pytest.approx(0.125)
+    assert sum(out.entries.values()) == pytest.approx(0.125)
 
 
 def test_convolve_sets_orthogonal_supports_vanish():
@@ -207,7 +208,7 @@ def test_convolve_sets_orthogonal_supports_vanish():
     stage.add(M([[0, 0], [1, 1]]), 0.5)
     out = convolve_sets(acc, stage)
     assert len(out) == 0
-    assert out.total_mass() == 0.0
+    assert sum(out.entries.values()) == 0.0
 
 
 def test_qb2_on_example(example_uniform, example_mixed):
@@ -263,7 +264,7 @@ def test_stage_masses_conserve_on_random_networks():
         net = random_network(rng)
         for stage in decompose(net).stages:
             ws = tabulate_stage(net, stage)
-            assert ws.total_mass() + ws.discarded == pytest.approx(
+            assert sum(ws.entries.values()) + ws.discarded == pytest.approx(
                 1.0, abs=1e-12
             )
 
@@ -279,3 +280,79 @@ def test_tabulation_order_is_deterministic(example_uniform):
         for stm, _ in tabulate_stage(example_uniform, d.stages[1]).items()
     ]
     assert first == second == ["[0 0; 1 0]", "[1 0; 1 0]", "[0 1; 1 0]", "[1 1; 1 1]", "[0 0; 1 1]"]
+
+
+def reference_tabulation(net, stage):
+    """Pool stm_from_vector over range(2^g) with the same half-table products."""
+    probs = [net.arcs[arc_id - 1].p for arc_id in stage.arc_ids]
+    low, high, shift = half_probability_tables(probs)
+    entries = {}
+    discarded = 0.0
+    counters = Counters()
+    for bits in range(1 << len(stage.arc_ids)):
+        stm = stm_from_vector(net, stage, bits)
+        mass = low[bits & ((1 << shift) - 1)] * high[bits >> shift]
+        counters.multiplications += 1
+        if stm.bits == 0:
+            discarded += mass
+        elif stm in entries:
+            entries[stm] += mass
+            counters.summations += 1
+        else:
+            entries[stm] = mass
+    return list(entries.items()), discarded, counters
+
+
+def test_tabulation_matches_per_vector_reference(example_uniform, example_mixed):
+    nets = [example_uniform, example_mixed]
+    nets += [build(GeneratorSpec("grid", k, 0.9, seed=k)) for k in (2, 3, 4)]
+    rng = random.Random(79)
+    nets += [random_network(rng) for _ in range(200)]
+    for net in nets:
+        for stage in decompose(net).stages:
+            counters = Counters()
+            ws = tabulate_stage(net, stage, counters=counters)
+            entries, discarded, want = reference_tabulation(net, stage)
+            assert list(ws.entries.items()) == entries
+            assert ws.discarded == discarded
+            assert counters == want
+
+
+class CountingBudget:
+    """Budget stand-in whose check() raises on its n-th call."""
+
+    def __init__(self, raise_on=None):
+        self.raise_on = raise_on
+        self.calls = 0
+
+    def check(self):
+        self.calls += 1
+        if self.calls == self.raise_on:
+            raise BudgetExceeded(0.0)
+
+
+def test_tabulation_checks_budget_inside_walk():
+    net = random_network(random.Random(1), (6, 9), (16, 16))
+    (stage,) = decompose(net).stages
+    assert len(stage.arc_ids) == 16
+    # one check per arc while the two tables are built, then one per
+    # 4096 leaves of the walk
+    tables, walk = 16, (1 << 16) // 4096
+    budget = CountingBudget()
+    tabulate_stage(net, stage, budget)
+    assert budget.calls == tables + walk
+    for raise_on in (tables + 1, tables + walk):
+        budget = CountingBudget(raise_on)
+        with pytest.raises(BudgetExceeded):
+            tabulate_stage(net, stage, budget)
+        assert budget.calls == raise_on
+
+
+def test_qb2_refuses_stage_above_cap(monkeypatch):
+    def no_tables(*args, **kwargs):
+        raise AssertionError("a table was built above the cap")
+
+    monkeypatch.setattr("relengine.stm.half_probability_tables", no_tables)
+    net = build(GeneratorSpec("grid", 30, 0.9))
+    with pytest.raises(EnumerationCapExceeded, match="stage 2 has 145 arcs"):
+        reliability_qb2(net)
