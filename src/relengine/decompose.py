@@ -1,8 +1,10 @@
 """Slice a network into sequential stages along a chain of minimum cuts.
 
 One cut is found per arc of a hop-count shortest path, each cut pinned
-so it contains exactly that path arc. The nested source sides of the
-cuts partition the nodes into source-to-sink regions; cut arcs are then
+so it contains exactly that path arc. The source sides of the cuts are
+nested, so each cut's search starts beyond the previous side and never
+enters it, and the nodes a search newly reaches are that cut's region;
+the regions partition the nodes from source to sink. Cut arcs are then
 assigned to an adjacent stage to balance stage sizes, and consecutive
 stages share an ordered boundary node list that the matrix convolution
 engine folds over.
@@ -24,7 +26,7 @@ boundary it rides through, and the fold keeps the paths that return to it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from . import graphops
 from .network import Network
@@ -32,13 +34,23 @@ from .network import Network
 
 @dataclass(frozen=True)
 class CutInfo:
-    """One pinned minimum cut and the state the search held when it was found."""
+    """One pinned minimum cut and the state the search held when it was found.
+
+    Every cut of a chain shares `joined`, all nodes in the order they
+    joined the source side; this cut's source side is its first
+    `side_size` nodes, so the nested sides cost one tuple, not one set each.
+    """
 
     index: int
     path_arc: int
     arc_ids: frozenset[int]
-    source_side: frozenset[int]
     separated_sources: tuple[int, ...]
+    joined: tuple[int, ...] = field(repr=False)
+    side_size: int
+
+    @property
+    def source_side(self) -> frozenset[int]:
+        return frozenset(self.joined[: self.side_size])
 
 
 @dataclass(frozen=True)
@@ -79,23 +91,39 @@ def find_shortest_mcs(network: Network) -> Decomposition:
     the rest of the path and the sink. Pinning the earlier path nodes to
     the source and the later ones to the sink makes "exactly one path arc
     per cut" structural and keeps the cut source sides nested.
+
+    The nodes on the previous cut's source side are settled: every arc
+    leaving them ends in one of that cut's outer endpoints, which are
+    sources of the next cut, so each search starts from the sources not
+    yet settled and never enters a settled node. The capacities, the sinks
+    and the settled nodes are updated in place from cut to cut, and the
+    region of a cut is the nodes its search newly reached.
     """
     path = graphops.shortest_path(network, graphops.unit_weights(network))
     nodes_on_path = _path_nodes(network, path)
-    n = network.node_count
-
-    cuts: list[CutInfo] = []
-    acc_side: frozenset[int] = frozenset()
+    adj = graphops.adjacency(network)
+    caps = [1] * network.arc_count
+    sinks = set(nodes_on_path)  # nodes_on_path[i:] inside the loop
+    settled: set[int] = set()
+    joined: list[int] = []
+    pending: set[int] = set()  # sources not yet settled
+    found = []
     sep_sources: tuple[int, ...] = (network.source,)
     for i, arc_id in enumerate(path, start=1):
-        sources = set(acc_side) | set(sep_sources) | set(nodes_on_path[: i])
-        sinks = set(nodes_on_path[i:]) | {n}
-        if sources & sinks:
+        pending.add(nodes_on_path[i - 1])
+        sinks.discard(nodes_on_path[i - 1])
+        # Settled nodes and earlier path nodes are never sinks, so only a
+        # grown source can overlap them.
+        if any(v in sinks for v in sep_sources):
             continue  # no cut can hold exactly this path arc; stages merge here
-        caps = [0 if a.id == arc_id else 1 for a in network.arcs]
-        side, cut = graphops.min_cut_partition(network, caps, sources, sinks)
-        cuts.append(CutInfo(i, arc_id, cut, side, sep_sources))
-        acc_side = side
+        caps[arc_id - 1] = 0
+        reached, cut = graphops.min_cut_partition(
+            network, adj, caps, pending, sinks, settled
+        )
+        caps[arc_id - 1] = 1
+        settled.update(reached)
+        found.append((i, arc_id, cut, sep_sources, len(joined), len(reached)))
+        joined.extend(reached)
         sep_sources = tuple(
             sorted(
                 {
@@ -105,25 +133,22 @@ def find_shortest_mcs(network: Network) -> Decomposition:
                         network.arcs[cut_arc - 1].u,
                         network.arcs[cut_arc - 1].v,
                     )
-                    if node not in side
+                    if node not in settled
                 }
             )
         )
+        pending = set(sep_sources)
 
-    return Decomposition(path, tuple(cuts), _regions_from_cuts(network, cuts))
-
-
-def _regions_from_cuts(
-    network: Network, cuts: list[CutInfo]
-) -> tuple[tuple[int, ...], ...]:
-    all_nodes = set(range(1, network.node_count + 1))
-    regions = []
-    previous: frozenset[int] = frozenset()
-    for cut in cuts:
-        regions.append(tuple(sorted(cut.source_side - previous)))
-        previous = cut.source_side
-    regions.append(tuple(sorted(all_nodes - previous)))
-    return tuple(r for r in regions if r)
+    order = tuple(joined)
+    cuts = tuple(
+        CutInfo(i, arc_id, cut, sep, order, start + size)
+        for i, arc_id, cut, sep, start, size in found
+    )
+    regions = [tuple(sorted(order[start : start + size])) for *_, start, size in found]
+    regions.append(
+        tuple(v for v in range(1, network.node_count + 1) if v not in settled)
+    )
+    return Decomposition(path, cuts, tuple(regions))
 
 
 def self_adjust(network: Network, decomposition: Decomposition) -> Decomposition:

@@ -4,13 +4,16 @@ Weights are exact Python integers so that the power-of-two weighting
 stays collision free at any arc count; with distinct powers of two the
 shortest path is unique and Dijkstra's tie breaking is never exercised.
 Minimum cuts take any non-negative integer capacities, and their ties
-are settled by a fixed rule: the cut with the smallest source side.
+are settled by a fixed rule: the cut with the smallest source side. A
+cut search may be told that some nodes are already settled on the source
+side; those nodes may touch only sources and other settled nodes, so the
+search skips them and costs only the part of the graph it newly reaches.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections.abc import Iterable, Sequence
+from collections.abc import Collection, Container, Iterable, Sequence
 
 from .network import Network
 
@@ -79,77 +82,76 @@ def shortest_path(network: Network, weighting: Sequence[int]) -> tuple[int, ...]
 
 def min_cut_partition(
     network: Network,
+    adj: Sequence[Sequence[tuple[int, int]]],
     capacities: Sequence[int],
     sources: Iterable[int],
-    sinks: Iterable[int],
-) -> tuple[frozenset[int], frozenset[int]]:
-    """Minimum capacity cut separating `sources` from `sinks`.
+    sinks: Collection[int],
+    settled: Container[int],
+) -> tuple[tuple[int, ...], frozenset[int]]:
+    """Minimum capacity cut separating `sources` and `settled` from `sinks`.
 
-    Returns (source_side, cut_arc_ids). Shortest augmenting paths
-    (Edmonds-Karp) saturate a maximum flow; the source side is the set of
-    real nodes the last, failing search still reaches in the residual
-    graph, and the cut is every arc with exactly one endpoint on that
-    side. That set is the same after any maximum flow, so when several
-    cuts tie this picks the one with the smallest source side.
+    `adj` is `adjacency(network)`. The settled nodes are already known to
+    sit on the source side, and every arc at a settled node must end in a
+    source or another settled node, so the search never enters them: a
+    call costs the part of the graph it reaches, not O(n + m).
+
+    Returns (reached, cut_arc_ids): the real nodes the last, failing
+    search reaches from `sources` in the residual graph, in the order it
+    reaches them, and every arc from one of them to a node outside both
+    them and `settled`. Shortest augmenting paths (Edmonds-Karp) saturate
+    a maximum flow, and the reached set is the same after any maximum
+    flow, so when several cuts tie this picks the one with the smallest
+    source side.
     """
-    sources = sorted(set(sources))
-    sinks = sorted(set(sinks))
+    sources = list(dict.fromkeys(sources))
     if not sources or not sinks:
         raise ValueError("sources and sinks must both be nonempty")
-    overlap = set(sources) & set(sinks)
+    overlap = sorted(s for s in sources if s in sinks)
     if overlap:
-        raise ValueError(f"sources and sinks overlap on {sorted(overlap)}")
+        raise ValueError(f"sources and sinks overlap on {overlap}")
+    if any(s in settled for s in sources):
+        raise ValueError("sources must not be settled")
     if len(capacities) != network.arc_count:
         raise ValueError("capacity list length does not match arc count")
 
-    n = network.node_count
-    # Residual edges in pairs: edge e runs u -> v, edge e ^ 1 runs v -> u,
-    # and both start at the arc's capacity because arcs are undirected.
-    head: list[int] = []
-    cap: list[int] = []
-    out: list[list[int]] = [[] for _ in range(n + 1)]
-    for a in network.arcs:
-        c = capacities[a.id - 1]
-        out[a.u].append(len(head))
-        head.append(a.v)
-        cap.append(c)
-        out[a.v].append(len(head))
-        head.append(a.u)
-        cap.append(c)
-    is_sink = [False] * (n + 1)
-    for t in sinks:
-        is_sink[t] = True
-
+    # Net flow on each arc the search has pushed on, counted from its
+    # lower-numbered end; an undirected arc of capacity c has residual
+    # c - f from that end and c + f back.
+    flow: dict[int, int] = {}
     while True:
         # Breadth-first search from every source at once; via[v] is the
-        # edge that first reached v, -1 at a source, None if unreached.
-        via: list[int | None] = [None] * (n + 1)
-        for s in sources:
-            via[s] = -1
+        # arc, the node and the residual capacity that first reached v,
+        # None at a source.
+        via: dict[int, tuple[int, int, int] | None] = dict.fromkeys(sources)
         queue = list(sources)
         end = 0
         for u in queue:
-            for e in out[u]:
-                v = head[e]
-                if cap[e] and via[v] is None:
-                    via[v] = e
-                    if is_sink[v]:
+            for arc_id, v in adj[u]:
+                if v in via or v in settled:
+                    continue
+                f = flow.get(arc_id, 0)
+                residual = capacities[arc_id - 1] - (f if u < v else -f)
+                if residual > 0:
+                    via[v] = (arc_id, u, residual)
+                    if v in sinks:
                         end = v
                         break
                     queue.append(v)
             if end:
                 break
         if not end:
-            side = frozenset(v for v in range(1, n + 1) if via[v] is not None)
             cut = frozenset(
-                a.id for a in network.arcs if (a.u in side) != (a.v in side)
+                arc_id
+                for u in queue
+                for arc_id, v in adj[u]
+                if v not in via and v not in settled
             )
-            return side, cut
+            return tuple(queue), cut
         path = []
-        while via[end] != -1:
-            path.append(via[end])
-            end = head[via[end] ^ 1]
-        push = min(cap[e] for e in path)
-        for e in path:
-            cap[e] -= push
-            cap[e ^ 1] += push
+        while via[end] is not None:
+            arc_id, u, residual = via[end]
+            path.append((arc_id, u, end, residual))
+            end = u
+        push = min(residual for *_, residual in path)
+        for arc_id, u, v, _ in path:
+            flow[arc_id] = flow.get(arc_id, 0) + (push if u < v else -push)

@@ -1,5 +1,8 @@
 import random
 
+import pytest
+
+from relengine import graphops
 from relengine.decompose import (
     decompose,
     explain_decomposition,
@@ -7,7 +10,7 @@ from relengine.decompose import (
     self_adjust,
     stage_sources_targets,
 )
-from relengine.generators import GeneratorSpec, build, random_network
+from relengine.generators import FAMILIES, GeneratorSpec, build, random_network
 from relengine.network import make_network
 
 
@@ -77,6 +80,87 @@ def test_cuts_disconnect_their_source_side():
         d = find_shortest_mcs(net)
         for cut in d.cuts:
             assert removed_disconnects(net, cut.arc_ids, cut.source_side)
+
+
+def cut_chain_from_scratch(net, path):
+    """The cut chain with every cut searched from its full source set.
+
+    Cut i separates the previous source side, the grown sources and the
+    path nodes before arc i from the later path nodes and the sink.
+    Returns the cuts as (index, path arc, arcs, source side, grown
+    sources) and the regions between consecutive source sides.
+    """
+    nodes = [net.source]
+    for arc_id in path:
+        a = net.arcs[arc_id - 1]
+        nodes.append(a.v if a.u == nodes[-1] else a.u)
+    adj = graphops.adjacency(net)
+    cuts = []
+    side = frozenset()
+    grown = (net.source,)
+    for i, arc_id in enumerate(path, start=1):
+        sources = side | set(grown) | set(nodes[:i])
+        sinks = set(nodes[i:]) | {net.sink}
+        if sources & sinks:
+            continue
+        caps = [0 if a.id == arc_id else 1 for a in net.arcs]
+        reached, cut = graphops.min_cut_partition(
+            net, adj, caps, sources, sinks, frozenset()
+        )
+        cuts.append((i, arc_id, cut, frozenset(reached), grown))
+        side = frozenset(reached)
+        ends = {v for c in cut for v in (net.arcs[c - 1].u, net.arcs[c - 1].v)}
+        grown = tuple(sorted(ends - side))
+    regions, previous = [], frozenset()
+    for *_, cut_side, _ in cuts:
+        regions.append(tuple(sorted(cut_side - previous)))
+        previous = cut_side
+    regions.append(tuple(v for v in range(1, net.node_count + 1) if v not in previous))
+    return cuts, tuple(regions)
+
+
+def chain_test_networks():
+    for family in FAMILIES:
+        for k in range(1, 31):
+            yield build(GeneratorSpec(family, k, 0.9))
+    rng = random.Random(67)
+    for _ in range(300):
+        yield random_network(rng, node_range=(4, 12), arc_range=(5, 30))
+
+
+def test_cut_chain_matches_from_scratch_cuts(example_uniform, example_mixed):
+    for net in [example_uniform, example_mixed, *chain_test_networks()]:
+        d = find_shortest_mcs(net)
+        cuts, regions = cut_chain_from_scratch(net, d.path_arcs)
+        assert [
+            (c.index, c.path_arc, c.arc_ids, c.source_side, c.separated_sources)
+            for c in d.cuts
+        ] == cuts
+        assert d.regions == regions
+
+
+class CountingRows(list):
+    """Adjacency rows that count how often a row is read."""
+
+    reads = 0
+
+    def __getitem__(self, node):
+        CountingRows.reads += 1
+        return super().__getitem__(node)
+
+
+@pytest.mark.parametrize("family, k", [("series", 2000), ("ladder", 300)])
+def test_cut_chain_reads_each_row_a_few_times(monkeypatch, family, k):
+    # Each cut searches only beyond the previous one, so the whole chain
+    # (the shortest path included) reads O(n + m) adjacency rows, where a
+    # search of the whole graph per cut would read O(n) rows per cut.
+    build_rows = graphops.adjacency
+    monkeypatch.setattr(graphops, "adjacency", lambda net: CountingRows(build_rows(net)))
+    net = build(GeneratorSpec(family, k, 0.9))
+    CountingRows.reads = 0
+    d = find_shortest_mcs(net)
+    assert len(d.cuts) >= k
+    assert CountingRows.reads <= 4 * (net.node_count + net.arc_count)
 
 
 def test_self_adjust_on_example(example_uniform):

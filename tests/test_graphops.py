@@ -4,6 +4,7 @@ import random
 import pytest
 
 from relengine.graphops import (
+    adjacency,
     ld_weights,
     min_cut_partition,
     shortest_path,
@@ -11,6 +12,14 @@ from relengine.graphops import (
 )
 from relengine.network import Arc, Network, make_network
 from relengine.generators import GeneratorSpec, build, random_network
+
+
+def from_scratch(net, capacities, sources, sinks):
+    """(source side, cut arcs) of a cut searched with nothing settled."""
+    side, cut = min_cut_partition(
+        net, adjacency(net), capacities, sources, sinks, frozenset()
+    )
+    return frozenset(side), cut
 
 
 def all_simple_paths(net):
@@ -94,25 +103,25 @@ def test_min_cut_on_example(example_uniform):
     # Two unit-weight min cuts exist; the implementation settles ties by
     # taking the one nearest the source.
     for weighting in (unit_weights(example_uniform), ld_weights(example_uniform)):
-        assert min_cut_partition(example_uniform, weighting, {1}, {5})[1] == {1, 2}
+        assert from_scratch(example_uniform, weighting, {1}, {5})[1] == {1, 2}
 
 
 def test_min_cut_single_arc():
     net = make_network(2, [(1, 2, 0.5)])
-    assert min_cut_partition(net, ld_weights(net), {1}, {2})[1] == {1}
+    assert from_scratch(net, ld_weights(net), {1}, {2})[1] == {1}
 
 
 def test_min_cut_argument_validation(example_uniform):
     with pytest.raises(ValueError, match="nonempty"):
-        min_cut_partition(example_uniform, unit_weights(example_uniform), set(), {5})
+        from_scratch(example_uniform, unit_weights(example_uniform), set(), {5})
     with pytest.raises(ValueError, match="overlap"):
-        min_cut_partition(example_uniform, unit_weights(example_uniform), {1, 5}, {5})
+        from_scratch(example_uniform, unit_weights(example_uniform), {1, 5}, {5})
     with pytest.raises(ValueError):
-        min_cut_partition(example_uniform, (1,) * 6, {1}, {5})
+        from_scratch(example_uniform, (1,) * 6, {1}, {5})
 
 
 def test_min_cut_partition_sides_and_crossing_arcs(example_uniform):
-    side, cut = min_cut_partition(
+    side, cut = from_scratch(
         example_uniform, unit_weights(example_uniform), {1}, {5}
     )
     assert 1 in side and 5 not in side
@@ -126,7 +135,7 @@ def test_min_cut_partition_zero_capacity_arc_can_cross(example_uniform):
     # Pinning one arc to capacity zero forces the cheapest cut through it.
     caps = [1] * 7
     caps[1] = 0  # arc 2
-    side, cut = min_cut_partition(example_uniform, caps, {1}, {5})
+    side, cut = from_scratch(example_uniform, caps, {1}, {5})
     assert 2 in cut
     assert disconnects(example_uniform, cut, {1}, 5)
 
@@ -149,17 +158,73 @@ def test_min_cut_partition_ties_pick_smallest_source_side():
             sides.append((weight, frozenset(side)))
         best = min(weight for weight, _ in sides)
         smallest = frozenset.intersection(*(s for w, s in sides if w == best))
-        side, cut = min_cut_partition(net, caps, sources, {net.sink})
+        side, cut = from_scratch(net, caps, sources, {net.sink})
         assert side == smallest
         assert sum(caps[i - 1] for i in cut) == best
 
 
 def test_min_cut_partition_on_long_path_does_not_recurse():
     net = build(GeneratorSpec("series", 1500, 0.9))
-    assert min_cut_partition(net, unit_weights(net), {1}, {1501}) == (
+    assert from_scratch(net, unit_weights(net), {1}, {1501}) == (
         frozenset({1}),
         frozenset({1}),
     )
+
+
+class RecordingRows(list):
+    """Adjacency rows that remember which nodes were read."""
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.read = []
+
+    def __getitem__(self, node):
+        self.read.append(node)
+        return super().__getitem__(node)
+
+
+def test_min_cut_partition_with_settled_nodes(example_uniform):
+    # The example's second cut: node 1 is settled, its cut {1, 2} ends in
+    # the grown sources 2 and 3, and arc 6 is pinned.
+    caps = [1] * 7
+    caps[5] = 0
+    adj = RecordingRows(adjacency(example_uniform))
+    reached, cut = min_cut_partition(example_uniform, adj, caps, {2, 3}, {5}, {1})
+    assert sorted(reached) == [2, 3, 4]
+    assert cut == {6, 7}
+    assert 1 not in adj.read
+    assert (frozenset({1}) | set(reached), cut) == from_scratch(
+        example_uniform, caps, {1, 2, 3}, {5}
+    )
+    with pytest.raises(ValueError, match="settled"):
+        min_cut_partition(example_uniform, adj, caps, {1, 2}, {5}, {1})
+
+
+def test_settled_search_matches_from_scratch_on_random_networks():
+    # Settle the side of a first cut; the second search, with new
+    # capacities, starts from the cut's outer endpoints and must find the
+    # from-scratch cut of the union without reading a settled node's row.
+    rng = random.Random(45)
+    checked = 0
+    for _ in range(300):
+        net = random_network(rng, node_range=(6, 10), arc_range=(6, 18))
+        caps = [rng.randrange(4) for _ in range(net.arc_count)]
+        side, cut = from_scratch(net, caps, {1}, {net.sink})
+        grown = {
+            v for i in cut for v in (net.arcs[i - 1].u, net.arcs[i - 1].v)
+        } - side
+        if net.sink in grown:
+            continue  # a settled node would touch the sink
+        caps = [rng.randrange(4) for _ in range(net.arc_count)]
+        adj = RecordingRows(adjacency(net))
+        reached, got = min_cut_partition(net, adj, caps, grown, {net.sink}, side)
+        assert not side & set(reached)
+        assert not side & set(adj.read)
+        assert (side | set(reached), got) == from_scratch(
+            net, caps, side | grown, {net.sink}
+        )
+        checked += 1
+    assert checked >= 60
 
 
 def test_shortest_path_matches_exhaustive_search():
@@ -198,7 +263,7 @@ def test_min_cut_matches_exhaustive_search():
             weight = sum(weighting[i - 1] for i in removed)
             if best_weight is None or weight < best_weight:
                 best_weight, best_set = weight, removed
-        got = min_cut_partition(net, weighting, sources, {net.sink})[1]
+        got = from_scratch(net, weighting, sources, {net.sink})[1]
         assert got == best_set
         assert disconnects(net, got, sources, net.sink)
 
@@ -209,7 +274,7 @@ def test_min_cut_respects_multi_node_source_sets():
         net = random_network(rng, node_range=(5, 7), arc_range=(6, 10))
         nodes = list(range(1, net.node_count))
         sources = set(rng.sample(nodes, k=2))
-        cut = min_cut_partition(net, unit_weights(net), sources, {net.sink})[1]
+        cut = from_scratch(net, unit_weights(net), sources, {net.sink})[1]
         assert disconnects(net, cut, sources, net.sink)
         # Minimality of each single arc: putting any cut arc back restores
         # some source-sink connection.
@@ -220,7 +285,7 @@ def test_min_cut_respects_multi_node_source_sets():
 def test_unit_min_cut_size_matches_arc_disjoint_path_bound(example_uniform):
     # Menger: unit-capacity min cut size equals the max number of
     # arc-disjoint source-sink paths; the example has two.
-    cut = min_cut_partition(example_uniform, unit_weights(example_uniform), {1}, {5})[1]
+    cut = from_scratch(example_uniform, unit_weights(example_uniform), {1}, {5})[1]
     assert len(cut) == 2
     paths = all_simple_paths(example_uniform)
     disjoint_pairs = [
