@@ -3,7 +3,8 @@
 Subcommands: compute, crosscheck, bench, generate. Exit codes: 0 on
 success, 1 for parse or validation failures, 2 for bad usage (argparse),
 3 when a backend refuses an enumeration above its cap, 4 when a
-crosscheck exceeds its tolerance.
+crosscheck exceeds its tolerance, 5 when ``compute --budget SECONDS``
+runs out of time before the answer is known.
 
 The environment variable RELENGINE_ORACLE_CAP overrides the oracle's
 arc-count cap.
@@ -27,6 +28,7 @@ EXIT_INVALID_INPUT = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
 EXIT_MISMATCH = 4
+EXIT_BUDGET = 5
 
 
 def format_reliability(value: float) -> str:
@@ -63,6 +65,13 @@ def _load_network(path: str):
         return None
 
 
+def _positive_seconds(text: str) -> float:
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"budget must be positive, not {text}")
+    return value
+
+
 def _spec_from_args(args) -> generators.GeneratorSpec:
     return generators.GeneratorSpec(args.family, args.k, args.p, args.seed)
 
@@ -77,12 +86,13 @@ def _cmd_compute(args) -> int:
     result = bench.run_backend(
         network,
         args.backend,
+        budget_s=args.budget,
         cap=_enumeration_cap(),
         with_counters=args.counters,
     )
-    if result.status == "skipped":
+    if result.status != "ok":
         print(f"relengine: {result.detail}", file=sys.stderr)
-        return EXIT_CAP
+        return EXIT_CAP if result.status == "skipped" else EXIT_BUDGET
     if args.json:
         payload = {
             "reliability": result.reliability,
@@ -216,6 +226,10 @@ def build_parser() -> argparse.ArgumentParser:
     compute.add_argument("--time", dest="show_time", action="store_true")
     compute.add_argument("--json", action="store_true")
     compute.add_argument("--explain-decomposition", action="store_true")
+    compute.add_argument(
+        "--budget", type=_positive_seconds, default=None, metavar="SECONDS",
+        help="wall-clock allowance; exit 5 if it runs out",
+    )
     compute.set_defaults(handler=_cmd_compute)
 
     cross = sub.add_parser(

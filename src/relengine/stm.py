@@ -2,19 +2,25 @@
 
 Each stage vector collapses to a small boolean matrix recording which
 stage source nodes reach which stage target nodes; equal matrices pool
-their probability. A stage is tabulated by one depth-first walk over
-its arcs, most significant arc first and 0-branch first, so its vectors
-arrive in integer order and every pooled mass is summed in the order a
-per-vector sweep (``stm_from_vector`` over ``range(2^g)``) would use;
-the tables are bit-identical to that sweep. Folding consecutive stages
-is a boolean max-min matrix product, and because stage one has a single
-source node the accumulator is always one row, keeping every product
-linear in the boundary width.
+their probability. A stage is tabulated half by half, split where its
+probability tables split (``half_probability_tables``): a depth-first
+walk over the high arcs reaches each high leaf with the partition it
+induces on the interface (the low arcs' endpoints and the boundary
+nodes), and every high leaf with the same partition reuses one walk over
+the low arcs. Masses are still added per vector in integer order, the
+order a per-vector sweep (``stm_from_vector`` over ``range(2^g)``) would
+use, so the tables are bit-identical to that sweep. Folding consecutive
+stages is a boolean max-min matrix product, and because stage one has a
+single source node the accumulator is always one row, keeping every
+product linear in the boundary width.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import repeat
+from operator import add, mul
 
 from .bat import (
     DEFAULT_ENUMERATION_CAP,
@@ -27,6 +33,12 @@ from .network import Network
 from .unionfind import find, merge, undo, union
 
 _BUDGET_STRIDE = 4096
+# Below this many low arcs (at most 8 low leaves per high leaf) a key
+# costs more than the low walk it saves, so the stage is walked whole.
+_KEYED_SHIFT = 4
+# Low-half leaves one stage tabulation keeps in its memo (about 8 MiB of
+# list slots); past this, a key's low half is walked again, not stored.
+_MEMO_LEAVES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -142,6 +154,89 @@ def stm_from_vector(network: Network, stage: Stage, bits: int) -> SourceTargetMa
     return SourceTargetMatrix(len(source_roots), len(target_roots), out)
 
 
+def _walk(parent, size, arc_u, arc_v, lo, hi, nodes, targets=None) -> list:
+    """Read the forest at every state of arcs lo..hi-1, in integer order.
+
+    A depth-first walk decides arc hi-1 first and arc lo last, taking
+    each 0-branch before its 1-branch, and carries the merges of the set
+    arcs in the forest: union by size with an undo trail of real merges
+    and no path compression, so backtracking costs O(1) per merge made
+    below a frame. With targets, nodes are the source nodes and each
+    leaf gives the bits of its source-target matrix, row-major with row 0
+    at the low bits. Without, each leaf gives the partition of nodes: for
+    each node, the position of the first node in its set. The walk
+    leaves the forest changed.
+    """
+    trail: list[int] = []
+    outs: list = []
+    # Frames (k, mark): arcs k..hi-1 are decided and arcs below k are
+    # still open. Every frame but the root is the 1-branch of arc k,
+    # whose merge is made when the frame pops.
+    stack = [(hi, 0)]
+    while stack:
+        k, mark = stack.pop()
+        if len(trail) > mark:  # most pops have nothing to roll back
+            undo(parent, size, trail, mark)
+        if k < hi:
+            merge(parent, size, trail, arc_u[k], arc_v[k])
+        # follow the 0-branches down to the leaf, leaving each 1-branch
+        # on the stack; open arcs merge nothing, so they share one mark
+        mark = len(trail)
+        while k > lo:
+            k -= 1
+            stack.append((k, mark))
+        if targets is None:
+            roots = []
+            for x in nodes:
+                while parent[x] != x:
+                    x = parent[x]
+                roots.append(x)
+            # from a list, not tuple(map(...)): on CPython that left
+            # thousands of spare key-sized tuples on the free lists
+            outs.append(tuple([roots.index(r) for r in roots]))
+            continue
+        target_roots = []
+        for x in targets:
+            while parent[x] != x:
+                x = parent[x]
+            target_roots.append(x)
+        out = 0
+        bit = 1
+        for x in nodes:
+            while parent[x] != x:
+                x = parent[x]
+            for rt in target_roots:
+                if x == rt:
+                    out |= bit
+                bit <<= 1
+        outs.append(out)
+    return outs
+
+
+def _low_half(key, low_u, low_v, shift, sources, targets, low) -> tuple[list, int]:
+    """The low half under one key, its leaves grouped by matrix.
+
+    Read as a parent list over the interface, the key is already a
+    forest of its partition. Returns (runs, zeros): run r holds low
+    leaves r * _BUDGET_STRIDE onwards, at most _BUDGET_STRIDE of them,
+    and maps the bits of each matrix, in the order the matrices first
+    appear, to the low-table entries of its leaves in integer order;
+    zeros counts the leaves whose matrix is all zero.
+    """
+    size = [key.count(i) for i in range(len(key))]
+    outs = _walk(list(key), size, low_u, low_v, 0, shift, sources, targets)
+    runs = []
+    for j, out in enumerate(outs):
+        if j & (_BUDGET_STRIDE - 1) == 0:
+            run: dict[int, list[float]] = {}
+            runs.append(run)
+        if out in run:
+            run[out].append(low[j])
+        else:
+            run[out] = [low[j]]
+    return runs, outs.count(0)
+
+
 def tabulate_stage(
     network: Network,
     stage: Stage,
@@ -150,83 +245,83 @@ def tabulate_stage(
 ) -> WeightedStmSet:
     """Pool the connectivity matrix of every stage vector.
 
-    One depth-first walk over the stage's arcs decides arc g-1 first and
-    arc 0 last, taking each 0-branch before its 1-branch, so the 2^g
-    leaves arrive in integer order: the successor order of the
-    enumeration, and the order in which ``stm_from_vector`` over
-    ``range(2^g)`` would visit them. A union-find with an undo trail
-    carries the merges of the decided arcs down the walk, so each leaf
-    only reads the roots of the source and target nodes. Each leaf's mass
-    is the same half-table product, added in that same order, so pooled
-    masses, ``discarded`` and the counters are bit-identical to a
-    per-vector sweep. Equal matrices merge by adding their
-    probabilities; the all-zero matrix is dropped with its mass recorded.
+    Vector ``bits`` weighs ``low[bits & (2^shift - 1)] * high[bits >> shift]``
+    (``half_probability_tables``), and the walk splits at that shift. An
+    outer walk over the high arcs shift..g-1 meets the high leaves hb in
+    increasing order and reads each one's key: the partition its arcs
+    induce on the interface, which is the low arcs' endpoints and the
+    source and target nodes. The key fixes the matrix of every low
+    completion j, so high leaves with equal keys share one inner walk over
+    the low arcs, grouped by matrix and kept in a per-stage memo of at
+    most _MEMO_LEAVES leaves (past it, a key's low half is walked again).
+    Each high leaf adds ``low[j] * high[hb]`` to its matrix for j in
+    increasing order, so every pooled mass is the same sum, in the same
+    order, as a per-vector sweep over ``range(2^g)``: entries, their
+    order, ``discarded`` and the counters are bit-identical to it. Stages
+    with fewer than _KEYED_SHIFT low arcs are walked whole. The all-zero
+    matrix is dropped with its mass recorded. A budget is checked once
+    per arc while the tables are built, then before leaf 0 and every
+    _BUDGET_STRIDE leaves after it, in pooling order.
     """
     g = len(stage.arc_ids)
-    probs = [network.arcs[arc_id - 1].p for arc_id in stage.arc_ids]
-    low, high, shift = half_probability_tables(probs, budget)
-    low_mask = (1 << shift) - 1
+    arcs = [network.arcs[arc_id - 1] for arc_id in stage.arc_ids]
+    low, high, shift = half_probability_tables([a.p for a in arcs], budget)
     local = {node: idx for idx, node in enumerate(stage.node_ids)}
-    arc_u = [local[network.arcs[arc_id - 1].u] for arc_id in stage.arc_ids]
-    arc_v = [local[network.arcs[arc_id - 1].v] for arc_id in stage.arc_ids]
+    n = len(local)
+    arc_u = [local[a.u] for a in arcs]
+    arc_v = [local[a.v] for a in arcs]
     sources = [local[s] for s in stage.source_nodes]
     targets = [local[t] for t in stage.target_nodes]
-    cols = len(targets)
-
-    # Union by size with an undo trail of real merges and no path
-    # compression, so backtracking costs O(1) per merge made below a frame.
-    parent = list(range(len(local)))
-    size = [1] * len(local)
-    trail: list[int] = []
-
+    if budget is not None:  # leaf 0's check, made before any walk
+        budget.check()
+    # matrix bits -> mass; the all-zero matrix 0 is popped as discarded
     pooled: dict[int, float] = {}
-    discarded = 0.0
-    sums = 0
-    # Frames (k, bits, trail_mark): arcs k..g-1 are decided by bits and
-    # arcs below k are still open. Every frame but the root is the
-    # 1-branch of arc k, whose merge is made when the frame pops.
-    stack = [(g, 0, 0)]
-    while stack:
-        k, bits, mark = stack.pop()
-        if len(trail) > mark:  # most pops have nothing to roll back
-            undo(parent, size, trail, mark)
-        if k < g:
-            merge(parent, size, trail, arc_u[k], arc_v[k])
-        # follow the 0-branches down to the leaf, leaving each 1-branch
-        # on the stack; open arcs merge nothing, so they share one mark
-        mark = len(trail)
-        while k:
-            k -= 1
-            stack.append((k, bits | (1 << k), mark))
+    get = pooled.get
 
-        if budget is not None and bits & (_BUDGET_STRIDE - 1) == 0:
-            budget.check()
-        target_roots = []
-        for x in targets:
-            while parent[x] != x:
-                x = parent[x]
-            target_roots.append(x)
-        out = 0
-        pos = 0
-        for x in sources:
-            while parent[x] != x:
-                x = parent[x]
-            for col, rt in enumerate(target_roots):
-                if x == rt:
-                    out |= 1 << (pos + col)
-            pos += cols
-        mass = low[bits & low_mask] * high[bits >> shift]
-        if out == 0:
-            discarded += mass
-        elif out in pooled:
-            pooled[out] += mass
-            sums += 1
-        else:
-            pooled[out] = mass
+    if shift < _KEYED_SHIFT:
+        # too few low leaves per high leaf for a key to pay: walk every
+        # arc and pool leaf by leaf
+        outs = _walk(list(range(n)), [1] * n, arc_u, arc_v, 0, g, sources, targets)
+        low_mask = (1 << shift) - 1
+        for bits, out in enumerate(outs):
+            pooled[out] = get(out, 0.0) + low[bits & low_mask] * high[bits >> shift]
+        zeros = outs.count(0)
+    else:
+        interface = sorted({*arc_u[:shift], *arc_v[:shift], *sources, *targets})
+        keys = _walk(list(range(n)), [1] * n, arc_u, arc_v, shift, g, interface)
+        at = {node: i for i, node in enumerate(interface)}
+        low_u = [at[x] for x in arc_u[:shift]]
+        low_v = [at[x] for x in arc_v[:shift]]
+        sources = [at[x] for x in sources]
+        targets = [at[x] for x in targets]
+        memo: dict[tuple[int, ...], tuple] = {}
+        stored = 0
+        zeros = 0
+        for hb, key in enumerate(keys):
+            if budget is not None and hb and (hb << shift) & (_BUDGET_STRIDE - 1) == 0:
+                budget.check()
+            half = memo.get(key)
+            if half is None:
+                half = _low_half(key, low_u, low_v, shift, sources, targets, low)
+                if stored + (1 << shift) <= _MEMO_LEAVES:
+                    memo[key] = half
+                    stored += 1 << shift
+            runs, run_zeros = half
+            zeros += run_zeros
+            h = high[hb]
+            for r, run in enumerate(runs):
+                if r and budget is not None:
+                    budget.check()
+                # one matrix's leaves of this run, added left to right in
+                # integer order; a new matrix starts from 0.0 + mass == mass
+                for out, lows in run.items():
+                    pooled[out] = reduce(add, map(mul, lows, repeat(h)), get(out, 0.0))
+    discarded = pooled.pop(0, 0.0)
     if counters is not None:
         counters.multiplications += 1 << g
-        counters.summations += sums
+        counters.summations += (1 << g) - zeros - len(pooled)
     rows = len(sources)
+    cols = len(targets)
     result = WeightedStmSet()
     result.entries = {
         SourceTargetMatrix(rows, cols, out): mass for out, mass in pooled.items()

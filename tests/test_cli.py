@@ -154,6 +154,32 @@ def test_compute_refuses_wide_qb2_stage(tmp_path, capsys, monkeypatch):
     assert "qb2 stage 2 has 145 arcs, above the cap of 30" in err
 
 
+@pytest.mark.parametrize("backend", ["oracle", "qbat", "qb2"])
+def test_compute_budget_runs_out(tmp_path, capsys, backend):
+    path = tmp_path / "grid-5.net"
+    path.write_text(format_network(build(GeneratorSpec("grid", 5, 0.9))))
+    code, out, err = run_cli(
+        ["compute", str(path), "--backend", backend, "--budget", "1e-7"], capsys
+    )
+    assert code == 5
+    assert out == ""
+    assert "time budget of 1e-07 s exceeded" in err
+
+
+def test_compute_within_budget(example_file, capsys):
+    code, out, err = run_cli(["compute", example_file, "--budget", "60"], capsys)
+    assert code == 0
+    assert out == "0.9781803000\n"
+    assert err == ""
+
+
+@pytest.mark.parametrize("budget", ["0", "-1", "nan", "soon"])
+def test_compute_rejects_bad_budget(example_file, budget):
+    with pytest.raises(SystemExit) as err:
+        main(["compute", example_file, "--budget", budget])
+    assert err.value.code == 2
+
+
 def test_compute_rejects_bad_file(tmp_path, capsys):
     path = tmp_path / "bad.net"
     path.write_text("nodes 3\narc 1 2 0.5\narc 1 2 0.6\narc 2 3 0.5\n")

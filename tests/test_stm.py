@@ -14,6 +14,7 @@ from relengine.decompose import decompose
 from relengine.generators import GeneratorSpec, build, random_network
 from relengine.network import make_network
 from relengine.quickbat import reliability_quick_bat
+from relengine import stm
 from relengine.stm import (
     Counters,
     SourceTargetMatrix,
@@ -318,6 +319,56 @@ def test_tabulation_matches_per_vector_reference(example_uniform, example_mixed)
             assert counters == want
 
 
+@pytest.mark.parametrize("bound", [0, 256])
+def test_tabulation_with_bounded_memo_matches_reference(
+    monkeypatch, example_uniform, example_mixed, bound
+):
+    # 0: every high leaf walks its low half again; 256: the first keys are
+    # stored and later ones walked again, side by side in one stage
+    monkeypatch.setattr("relengine.stm._MEMO_LEAVES", bound)
+    test_tabulation_matches_per_vector_reference(example_uniform, example_mixed)
+
+
+def test_memo_bound_limits_stored_low_halves(monkeypatch):
+    net = build(GeneratorSpec("grid", 4, 0.9, seed=4))
+    stage = max(decompose(net).stages, key=lambda stage: len(stage.arc_ids))
+    assert len(stage.arc_ids) == 15  # shift 7: 256 high leaves of 128
+    walks = []
+    low_half = stm._low_half
+    monkeypatch.setattr(
+        "relengine.stm._low_half", lambda *args: walks.append(1) or low_half(*args)
+    )
+
+    def low_walks(bound):
+        monkeypatch.setattr("relengine.stm._MEMO_LEAVES", bound)
+        walks.clear()
+        ws = tabulate_stage(net, stage)
+        return len(walks), list(ws.entries.items()), ws.discarded
+
+    unbounded, entries, discarded = low_walks(1 << 20)
+    assert unbounded < 256
+    assert low_walks(0) == (256, entries, discarded)
+    one_key = low_walks(128)
+    assert unbounded < one_key[0] < 256
+    assert one_key[1:] == (entries, discarded)
+
+
+def test_qb2_pins_wide_stage_of_grid_5():
+    # a 20-arc stage split at shift 10, beyond the per-vector reference
+    net = build(GeneratorSpec("grid", 5, 0.5))
+    assert [len(stage.arc_ids) for stage in decompose(net).stages] == [2, 20]
+    r, counters = reliability_qb2(net)
+    assert r.hex() == "0x1.5954e00000000p-3"
+    assert counters.as_dict() == {
+        "stage_stm_counts": [3, 3],
+        "fold_stm_counts": [1],
+        "total_aggregated": 7,
+        "convolution_products": 9,
+        "multiplications": 1048587,
+        "summations": 292820,
+    }
+
+
 class CountingBudget:
     """Budget stand-in whose check() raises on its n-th call."""
 
@@ -356,3 +407,36 @@ def test_qb2_refuses_stage_above_cap(monkeypatch):
     net = build(GeneratorSpec("grid", 30, 0.9))
     with pytest.raises(EnumerationCapExceeded, match="stage 2 has 145 arcs"):
         reliability_qb2(net)
+
+
+def test_tabulation_checks_budget_before_walking_a_wide_stage(monkeypatch):
+    net = build(GeneratorSpec("grid", 7, 0.9))
+    stage = decompose(net).stages[1]
+    assert len(stage.arc_ids) == 30
+    tables = 30
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("the stage was walked")
+
+    with monkeypatch.context() as patched:
+        patched.setattr("relengine.stm._walk", no_walk)
+        budget = CountingBudget(tables + 1)
+        with pytest.raises(BudgetExceeded):
+            tabulate_stage(net, stage, budget)
+        assert budget.calls == tables + 1
+    # with shift 15, the next check comes 4096 leaves into high leaf 0
+    budget = CountingBudget(tables + 2)
+    with pytest.raises(BudgetExceeded):
+        tabulate_stage(net, stage, budget)
+    assert budget.calls == tables + 2
+
+
+def test_tabulation_checks_budget_within_a_high_leaf(monkeypatch):
+    # a stride below 2^shift puts several checks inside each high leaf,
+    # as _BUDGET_STRIDE does for stages of 26 arcs and more
+    monkeypatch.setattr("relengine.stm._BUDGET_STRIDE", 16)
+    net = random_network(random.Random(1), (6, 9), (16, 16))
+    (stage,) = decompose(net).stages
+    budget = CountingBudget()
+    tabulate_stage(net, stage, budget)
+    assert budget.calls == 16 + (1 << 16) // 16
