@@ -12,7 +12,13 @@ order a per-vector sweep (``stm_from_vector`` over ``range(2^g)``) would
 use, so the tables are bit-identical to that sweep. Folding consecutive
 stages is a boolean max-min matrix product, and because stage one has a
 single source node the accumulator is always one row, keeping every
-product linear in the boundary width.
+product linear in the boundary width. Folds pool by matrix bits too: the
+rows of each stage matrix are unpacked once per fold, and a product is
+the OR of the stage rows that the accumulator's bits select.
+``reliability_qb2`` runs on these plain ints and builds no matrix
+objects; ``tabulate_stage``, ``convolve_sets`` and ``stm_convolve`` wrap
+the same cores and return ``WeightedStmSet`` and ``SourceTargetMatrix``
+views of their results.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import repeat
-from operator import add, mul
+from operator import add, mul, or_
 
 from .bat import (
     DEFAULT_ENUMERATION_CAP,
@@ -52,9 +58,6 @@ class SourceTargetMatrix:
     def entry(self, row: int, col: int) -> int:
         return (self.bits >> (row * self.cols + col)) & 1
 
-    def row_bits(self, row: int) -> int:
-        return (self.bits >> (row * self.cols)) & ((1 << self.cols) - 1)
-
     def __str__(self) -> str:
         return "[" + "; ".join(
             " ".join(str(self.entry(r, c)) for c in range(self.cols))
@@ -63,29 +66,34 @@ class SourceTargetMatrix:
 
 
 class WeightedStmSet:
-    """Insertion-ordered map from matrix to pooled probability mass.
+    """Pooled probability mass of rows x cols matrices, keyed by their bits.
 
-    All-zero matrices are never stored; their mass is tracked separately
-    so stage tabulations can assert stored + discarded = 1.
+    ``pooled`` maps the bits of each nonzero matrix to its mass, in the
+    order the matrices were first met. The all-zero matrix is never
+    stored; its mass is kept in ``discarded`` so stage tabulations can
+    assert stored + discarded = 1.
     """
 
-    __slots__ = ("entries", "discarded")
+    __slots__ = ("rows", "cols", "pooled", "discarded")
 
-    def __init__(self) -> None:
-        self.entries: dict[SourceTargetMatrix, float] = {}
-        self.discarded = 0.0
+    def __init__(
+        self, rows: int, cols: int, pooled: dict[int, float], discarded: float = 0.0
+    ) -> None:
+        self.rows = rows
+        self.cols = cols
+        self.pooled = pooled
+        self.discarded = discarded
 
-    def add(self, stm: SourceTargetMatrix, mass: float) -> None:
-        if stm.bits == 0:
-            self.discarded += mass
-            return
-        if stm in self.entries:
-            self.entries[stm] += mass
-        else:
-            self.entries[stm] = mass
+    @property
+    def entries(self) -> dict[SourceTargetMatrix, float]:
+        """The pooled masses keyed by matrix, built afresh on every read."""
+        return {
+            SourceTargetMatrix(self.rows, self.cols, bits): mass
+            for bits, mass in self.pooled.items()
+        }
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.pooled)
 
     def items(self):
         return self.entries.items()
@@ -243,7 +251,20 @@ def tabulate_stage(
     budget: Budget | None = None,
     counters: Counters | None = None,
 ) -> WeightedStmSet:
-    """Pool the connectivity matrix of every stage vector.
+    """Pool the connectivity matrix of every stage vector (``_tabulate``)."""
+    pooled, discarded = _tabulate(network, stage, budget, counters)
+    return WeightedStmSet(
+        len(stage.source_nodes), len(stage.target_nodes), pooled, discarded
+    )
+
+
+def _tabulate(
+    network: Network,
+    stage: Stage,
+    budget: Budget | None,
+    counters: Counters | None,
+) -> tuple[dict[int, float], float]:
+    """Pool the connectivity matrix of every stage vector, by matrix bits.
 
     Vector ``bits`` weighs ``low[bits & (2^shift - 1)] * high[bits >> shift]``
     (``half_probability_tables``), and the walk splits at that shift. An
@@ -259,9 +280,10 @@ def tabulate_stage(
     order, as a per-vector sweep over ``range(2^g)``: entries, their
     order, ``discarded`` and the counters are bit-identical to it. Stages
     with fewer than _KEYED_SHIFT low arcs are walked whole. The all-zero
-    matrix is dropped with its mass recorded. A budget is checked once
-    per arc while the tables are built, then before leaf 0 and every
-    _BUDGET_STRIDE leaves after it, in pooling order.
+    matrix is dropped and its mass returned as the discarded mass. A
+    budget is checked once per arc while the tables are built, then
+    before leaf 0 and every _BUDGET_STRIDE leaves after it, in pooling
+    order.
     """
     g = len(stage.arc_ids)
     arcs = [network.arcs[arc_id - 1] for arc_id in stage.arc_ids]
@@ -320,39 +342,71 @@ def tabulate_stage(
     if counters is not None:
         counters.multiplications += 1 << g
         counters.summations += (1 << g) - zeros - len(pooled)
-    rows = len(sources)
-    cols = len(targets)
-    result = WeightedStmSet()
-    result.entries = {
-        SourceTargetMatrix(rows, cols, out): mass for out, mass in pooled.items()
-    }
-    result.discarded = discarded
-    return result
+    return pooled, discarded
+
+
+def _fold(acc, acc_shape, stage, stage_shape, counters=None) -> dict[int, float]:
+    """Fold one pooled stage into the pooled accumulator, both keyed by bits.
+
+    ``acc`` and ``stage`` map matrix bits to mass, their shapes are (rows,
+    cols), and the result maps each nonzero product's bits to its mass.
+    Each stage matrix's rows are unpacked once; an accumulator row's
+    product with a stage matrix is the OR of the stage rows its bits
+    select, taken for every stage matrix at once. Several accumulator
+    rows are read as one row against the block-diagonal stage matrix.
+    Pairs are visited accumulator-major in insertion order, zero products
+    are dropped before any probability work, and each nonzero product adds
+    ``acc_mass * stage_mass`` to its bits: the sums, their order and the
+    counters are those of a product-by-product fold. Raises ValueError
+    when the accumulator's width is not the stage's row count.
+    """
+    acc_rows, acc_cols = acc_shape
+    rows, cols = stage_shape
+    if acc_cols != rows:
+        raise ValueError(
+            f"cannot convolve {acc_rows}x{acc_cols} with {rows}x{cols}: "
+            "stage chain dimensions do not match"
+        )
+    mask = (1 << cols) - 1
+    # stage_rows[r * rows + h]: row h of every stage matrix, at output row r
+    stage_rows = []
+    for r in range(acc_rows):
+        for h in range(rows):
+            shift = h * cols
+            stage_rows.append([(bits >> shift & mask) << r * cols for bits in stage])
+    pooled: dict[int, float] = {}
+    get = pooled.get
+    zeros = 0
+    for acc_bits, acc_mass in acc.items():
+        products = None
+        for rows_h in stage_rows:
+            if acc_bits & 1:
+                products = rows_h if products is None else list(map(or_, products, rows_h))
+            acc_bits >>= 1
+        if products is None:  # an all-zero accumulator row selects nothing
+            zeros += len(stage)
+            continue
+        zeros += products.count(0)
+        for out, mass in zip(products, stage.values()):
+            if out:
+                pooled[out] = get(out, 0.0) + acc_mass * mass
+    if counters is not None:
+        pairs = len(acc) * len(stage)
+        counters.convolution_products += pairs
+        counters.multiplications += pairs - zeros
+        counters.summations += pairs - zeros - len(pooled)
+    return pooled
 
 
 def stm_convolve(
     a: SourceTargetMatrix, b: SourceTargetMatrix
 ) -> SourceTargetMatrix:
-    """Boolean max-min product: out(alpha, beta) = OR over h of a(alpha,h) AND b(h,beta)."""
-    if a.cols != b.rows:
-        raise ValueError(
-            f"cannot convolve {a.rows}x{a.cols} with {b.rows}x{b.cols}: "
-            "stage chain dimensions do not match"
-        )
-    col_mask = (1 << b.cols) - 1
-    b_rows = [(b.bits >> (h * b.cols)) & col_mask for h in range(b.rows)]
-    out = 0
-    for r in range(a.rows):
-        abits = a.row_bits(r)
-        row = 0
-        h = 0
-        while abits:
-            if abits & 1:
-                row |= b_rows[h]
-            abits >>= 1
-            h += 1
-        out |= row << (r * b.cols)
-    return SourceTargetMatrix(a.rows, b.cols, out)
+    """Boolean max-min product: out(alpha, beta) = OR over h of a(alpha,h) AND b(h,beta).
+
+    The one-entry fold (``_fold``) of a with b.
+    """
+    product = _fold({a.bits: 1.0}, (a.rows, a.cols), {b.bits: 1.0}, (b.rows, b.cols))
+    return SourceTargetMatrix(a.rows, b.cols, next(iter(product), 0))
 
 
 def convolve_sets(
@@ -360,31 +414,21 @@ def convolve_sets(
     stage_set: WeightedStmSet,
     counters: Counters | None = None,
 ) -> WeightedStmSet:
-    """Fold one stage into the accumulator.
+    """Fold one stage into the accumulator (``_fold``).
 
     Every accumulator/stage pair is convolved; zero products are dropped
-    before any probability work, and equal results pool their mass.
+    before any probability work, and equal results pool their mass by
+    matrix bits. The stage's rows are unpacked once per fold, not once
+    per product.
     """
-    out = WeightedStmSet()
-    products = 0
-    mults = 0
-    sums = 0
-    for acc_stm, acc_mass in acc.entries.items():
-        for stage_stm, stage_mass in stage_set.entries.items():
-            product = stm_convolve(acc_stm, stage_stm)
-            products += 1
-            if product.bits == 0:
-                continue
-            mass = acc_mass * stage_mass
-            mults += 1
-            if product in out.entries:
-                sums += 1
-            out.add(product, mass)
-    if counters is not None:
-        counters.convolution_products += products
-        counters.multiplications += mults
-        counters.summations += sums
-    return out
+    pooled = _fold(
+        acc.pooled,
+        (acc.rows, acc.cols),
+        stage_set.pooled,
+        (stage_set.rows, stage_set.cols),
+        counters,
+    )
+    return WeightedStmSet(acc.rows, stage_set.cols, pooled)
 
 
 def reliability_qb2(
@@ -392,13 +436,15 @@ def reliability_qb2(
 ) -> tuple[float, Counters]:
     """Stage tabulation followed by a left-to-right fold.
 
-    Tabulates every stage, folds the pooled sets in stage order with
-    pooling after each fold, and returns the total mass of the surviving
-    final matrices, which are all the 1x1 connected matrix. Summation
-    order is fixed (stage order, enumeration order within a stage,
-    insertion order in folds) so repeated runs are bit-identical. A stage
-    wider than DEFAULT_ENUMERATION_CAP arcs raises EnumerationCapExceeded
-    before any table is built.
+    Tabulates every stage (``_tabulate``), folds the pooled sets in stage
+    order with pooling after each fold (``_fold``), and returns the total
+    mass of the surviving final matrices, which are all the 1x1 connected
+    matrix. Both steps pool by matrix bits in plain dicts, and each fold
+    unpacks its stage matrices' rows once; no matrix object is built.
+    Summation order is fixed (stage order, enumeration order within a
+    stage, insertion order in folds) so repeated runs are bit-identical.
+    A stage wider than DEFAULT_ENUMERATION_CAP arcs raises
+    EnumerationCapExceeded before any table is built.
     """
     counters = Counters()
     if network.node_count == 1:
@@ -413,20 +459,23 @@ def reliability_qb2(
             f"qb2 stage {widest.index} has {width} arcs, above the cap of "
             f"{DEFAULT_ENUMERATION_CAP}; its 2^{width} vectors are not enumerated",
         )
-    pooled = []
+    tables = []
     for stage in stages:
         if budget is not None:
             budget.check()
-        stage_set = tabulate_stage(network, stage, budget, counters)
-        counters.stage_stm_counts.append(len(stage_set))
-        pooled.append(stage_set)
-    acc = pooled[0]
-    for stage_set in pooled[1:]:
+        pooled, _ = _tabulate(network, stage, budget, counters)
+        counters.stage_stm_counts.append(len(pooled))
+        tables.append(pooled)
+    acc = tables[0]
+    acc_shape = (len(stages[0].source_nodes), len(stages[0].target_nodes))
+    for stage, pooled in zip(stages[1:], tables[1:]):
         if budget is not None:
             budget.check()
-        acc = convolve_sets(acc, stage_set, counters)
+        shape = (len(stage.source_nodes), len(stage.target_nodes))
+        acc = _fold(acc, acc_shape, pooled, shape, counters)
+        acc_shape = (acc_shape[0], shape[1])
         counters.fold_stm_counts.append(len(acc))
     total = 0.0
-    for _, mass in acc.items():
+    for mass in acc.values():
         total += mass
     return total, counters

@@ -139,6 +139,34 @@ def test_cut_chain_matches_from_scratch_cuts(example_uniform, example_mixed):
         assert d.regions == regions
 
 
+def test_cut_search_starts_with_settled_nodes_closed(monkeypatch):
+    # min_cut_partition does not check that every arc at a settled node
+    # ends in a source or another settled node; it returns a wrong cut
+    # when that fails, so check it before every call of the cut chain
+    search = graphops.min_cut_partition
+    settled_sizes = []
+
+    def checked(network, adj, capacities, sources, sinks, settled):
+        closed = set(settled) | set(sources)
+        for node in settled:
+            for arc_id, other in adj[node]:
+                assert other in closed, (node, arc_id, other)
+        settled_sizes.append(len(settled))
+        return search(network, adj, capacities, sources, sinks, settled)
+
+    monkeypatch.setattr(graphops, "min_cut_partition", checked)
+    nets = [
+        build(GeneratorSpec(family, k, 0.9))
+        for family in ("series", "ladder", "bridge-chain")
+        for k in (*range(1, 31), 100)
+    ]
+    rng = random.Random(89)
+    nets += [random_network(rng, node_range=(4, 12), arc_range=(5, 30)) for _ in range(300)]
+    for net in nets:
+        find_shortest_mcs(net)
+    assert max(settled_sizes) >= 100
+
+
 class CountingRows(list):
     """Adjacency rows that count how often a row is read."""
 

@@ -51,10 +51,9 @@ def test_matrix_reshape_changes_identity():
 
 
 def test_weighted_set_discards_zero_matrices():
-    ws = WeightedStmSet()
-    ws.add(M([[0, 0]]), 0.25)
-    ws.add(M([[1, 0]]), 0.5)
-    ws.add(M([[1, 0]]), 0.25)
+    # one arc of p = 0.75: the failed arc's all-zero matrix is not stored
+    net = make_network(2, [(1, 2, 0.75)])
+    ws = tabulate_stage(net, decompose(net).stages[0])
     assert len(ws) == 1
     assert ws.discarded == 0.25
     assert sum(ws.entries.values()) == 0.75
@@ -131,6 +130,13 @@ def test_convolve_dimension_mismatch():
         stm_convolve(M([[1, 0]]), M([[1], [0], [1]]))
 
 
+def test_convolve_sets_dimension_mismatch():
+    acc = WeightedStmSet(1, 2, {M([[1, 0]]).bits: 0.5})
+    stage = WeightedStmSet(3, 1, {M([[1], [0], [1]]).bits: 0.5})
+    with pytest.raises(ValueError, match="1x2 with 3x1"):
+        convolve_sets(acc, stage)
+
+
 def test_convolve_row_semantics_exhaustively():
     # 1x2 times 2x2: result entry beta is OR over h of R[h] AND B[h][beta]
     for rbits in range(4):
@@ -193,20 +199,16 @@ def test_convolve_sets_reproduces_first_fold(example_uniform):
 
 
 def test_convolve_sets_scalar_chain():
-    acc = WeightedStmSet()
-    acc.add(M([[1]]), 0.5)
-    stage = WeightedStmSet()
-    stage.add(M([[1]]), 0.25)
+    acc = WeightedStmSet(1, 1, {M([[1]]).bits: 0.5})
+    stage = WeightedStmSet(1, 1, {M([[1]]).bits: 0.25})
     out = convolve_sets(acc, stage)
     assert len(out) == 1
     assert sum(out.entries.values()) == pytest.approx(0.125)
 
 
 def test_convolve_sets_orthogonal_supports_vanish():
-    acc = WeightedStmSet()
-    acc.add(M([[1, 0]]), 0.5)
-    stage = WeightedStmSet()
-    stage.add(M([[0, 0], [1, 1]]), 0.5)
+    acc = WeightedStmSet(1, 2, {M([[1, 0]]).bits: 0.5})
+    stage = WeightedStmSet(2, 2, {M([[0, 0], [1, 1]]).bits: 0.5})
     out = convolve_sets(acc, stage)
     assert len(out) == 0
     assert sum(out.entries.values()) == 0.0
@@ -317,6 +319,71 @@ def test_tabulation_matches_per_vector_reference(example_uniform, example_mixed)
             assert list(ws.entries.items()) == entries
             assert ws.discarded == discarded
             assert counters == want
+
+
+def reference_fold(net):
+    """reliability_qb2 with a per-product fold: stm_convolve on every pair,
+    each nonzero product pooled by matrix in insertion order."""
+    counters = Counters()
+    tables = []
+    for stage in decompose(net).stages:
+        ws = tabulate_stage(net, stage, counters=counters)
+        counters.stage_stm_counts.append(len(ws))
+        tables.append(list(ws.items()))
+    acc = tables[0]
+    for table in tables[1:]:
+        out = {}
+        for acc_stm, acc_mass in acc:
+            for stage_stm, stage_mass in table:
+                product = stm_convolve(acc_stm, stage_stm)
+                counters.convolution_products += 1
+                if product.bits == 0:
+                    continue
+                mass = acc_mass * stage_mass
+                counters.multiplications += 1
+                if product in out:
+                    out[product] += mass
+                    counters.summations += 1
+                else:
+                    out[product] = mass
+        counters.fold_stm_counts.append(len(out))
+        acc = list(out.items())
+    total = 0.0
+    for _, mass in acc:
+        total += mass
+    return total, counters
+
+
+def test_fold_matches_per_product_reference(example_uniform, example_mixed):
+    nets = [example_uniform, example_mixed]
+    nets += [build(GeneratorSpec("grid", k, 0.9, seed=k)) for k in (2, 3, 4)]
+    nets += [
+        build(GeneratorSpec(family, k, 0.9, seed=k))
+        for family, k in (("series", 300), ("ladder", 50), ("bridge-chain", 32))
+    ]
+    rng = random.Random(83)
+    nets += [random_network(rng) for _ in range(200)]
+    for net in nets:
+        r, counters = reliability_qb2(net)
+        want, want_counters = reference_fold(net)
+        assert r.hex() == want.hex()
+        assert counters == want_counters
+
+
+def test_qb2_builds_no_matrix_objects(monkeypatch):
+    built = []
+    matrix = SourceTargetMatrix
+
+    def counting(*args):
+        built.append(args)
+        return matrix(*args)
+
+    monkeypatch.setattr("relengine.stm.SourceTargetMatrix", counting)
+    net = build(GeneratorSpec("ladder", 20, 0.9))
+    reliability_qb2(net)
+    assert built == []
+    # the wrappers still hand out matrices, through the same name
+    assert len(tabulate_stage(net, decompose(net).stages[1]).entries) == len(built) > 0
 
 
 @pytest.mark.parametrize("bound", [0, 256])
