@@ -11,14 +11,17 @@ can be replayed:
 """
 
 import argparse
+import random
 import sys
 import time
+from pathlib import Path
+
+# run from a plain checkout: import relengine from this repository's sources
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from relengine.bench import DEFAULT_TOLERANCE, crosscheck
 from relengine.generators import random_network
 from relengine.network import format_network
-
-import random
 
 
 def main() -> int:

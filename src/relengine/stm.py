@@ -19,6 +19,16 @@ the OR of the stage rows that the accumulator's bits select.
 objects; ``tabulate_stage``, ``convolve_sets`` and ``stm_convolve`` wrap
 the same cores and return ``WeightedStmSet`` and ``SourceTargetMatrix``
 views of their results.
+
+Each stage's and fold's work splits into structure and arithmetic. The
+structure (which leaf gives which matrix, which pair gives which
+product) depends only on a stage's local shape, or on a fold's two
+shapes and the bits of both tables in order; the arithmetic is the
+probability sums. One ``reliability_qb2`` call keeps the structure in
+two local dicts keyed that way, so on a long chain of like stages each
+shape is walked and each fold planned once, and every stage and fold
+redoes only its sums, in the same order as before. Nothing outlives the
+call, and the wrappers start from empty dicts.
 """
 
 from __future__ import annotations
@@ -252,7 +262,7 @@ def tabulate_stage(
     counters: Counters | None = None,
 ) -> WeightedStmSet:
     """Pool the connectivity matrix of every stage vector (``_tabulate``)."""
-    pooled, discarded = _tabulate(network, stage, budget, counters)
+    pooled, discarded = _tabulate(network, stage, budget, counters, {})
     return WeightedStmSet(
         len(stage.source_nodes), len(stage.target_nodes), pooled, discarded
     )
@@ -263,6 +273,7 @@ def _tabulate(
     stage: Stage,
     budget: Budget | None,
     counters: Counters | None,
+    walks: dict,
 ) -> tuple[dict[int, float], float]:
     """Pool the connectivity matrix of every stage vector, by matrix bits.
 
@@ -278,22 +289,29 @@ def _tabulate(
     Each high leaf adds ``low[j] * high[hb]`` to its matrix for j in
     increasing order, so every pooled mass is the same sum, in the same
     order, as a per-vector sweep over ``range(2^g)``: entries, their
-    order, ``discarded`` and the counters are bit-identical to it. Stages
-    with fewer than _KEYED_SHIFT low arcs are walked whole. The all-zero
-    matrix is dropped and its mass returned as the discarded mass. A
-    budget is checked once per arc while the tables are built, then
-    before leaf 0 and every _BUDGET_STRIDE leaves after it, in pooling
-    order.
+    order, ``discarded`` and the counters are bit-identical to it.
+
+    Stages with fewer than _KEYED_SHIFT low arcs are walked whole, and
+    their leaf matrices depend only on the stage's local shape: the node
+    count, each arc's local endpoints in stage order and the local source
+    and target lists. ``walks`` maps that shape to its leaf matrices and
+    their zero count, so a caller that passes one dict for many stages
+    (``reliability_qb2`` does, for one solve) walks each shape once and
+    redoes only the probability sums for the others. The all-zero matrix
+    is dropped and its mass returned as the discarded mass. A budget is
+    checked once per arc while the tables are built, then before leaf 0
+    and every _BUDGET_STRIDE leaves after it, in pooling order, whether
+    or not the shape was walked before.
     """
     g = len(stage.arc_ids)
     arcs = [network.arcs[arc_id - 1] for arc_id in stage.arc_ids]
     low, high, shift = half_probability_tables([a.p for a in arcs], budget)
     local = {node: idx for idx, node in enumerate(stage.node_ids)}
     n = len(local)
-    arc_u = [local[a.u] for a in arcs]
-    arc_v = [local[a.v] for a in arcs]
-    sources = [local[s] for s in stage.source_nodes]
-    targets = [local[t] for t in stage.target_nodes]
+    arc_u = tuple([local[a.u] for a in arcs])
+    arc_v = tuple([local[a.v] for a in arcs])
+    sources = tuple([local[s] for s in stage.source_nodes])
+    targets = tuple([local[t] for t in stage.target_nodes])
     if budget is not None:  # leaf 0's check, made before any walk
         budget.check()
     # matrix bits -> mass; the all-zero matrix 0 is popped as discarded
@@ -302,12 +320,16 @@ def _tabulate(
 
     if shift < _KEYED_SHIFT:
         # too few low leaves per high leaf for a key to pay: walk every
-        # arc and pool leaf by leaf
-        outs = _walk(list(range(n)), [1] * n, arc_u, arc_v, 0, g, sources, targets)
+        # arc, once per shape, and pool leaf by leaf
+        shape = (n, arc_u, arc_v, sources, targets)
+        walk = walks.get(shape)
+        if walk is None:
+            outs = _walk(list(range(n)), [1] * n, arc_u, arc_v, 0, g, sources, targets)
+            walk = walks[shape] = (outs, outs.count(0))
+        outs, zeros = walk
         low_mask = (1 << shift) - 1
         for bits, out in enumerate(outs):
             pooled[out] = get(out, 0.0) + low[bits & low_mask] * high[bits >> shift]
-        zeros = outs.count(0)
     else:
         interface = sorted({*arc_u[:shift], *arc_v[:shift], *sources, *targets})
         keys = _walk(list(range(n)), [1] * n, arc_u, arc_v, shift, g, interface)
@@ -345,20 +367,52 @@ def _tabulate(
     return pooled, discarded
 
 
-def _fold(acc, acc_shape, stage, stage_shape, counters=None) -> dict[int, float]:
+def _fold(acc, acc_shape, stage, stage_shape, plans, counters=None) -> dict[int, float]:
     """Fold one pooled stage into the pooled accumulator, both keyed by bits.
 
     ``acc`` and ``stage`` map matrix bits to mass, their shapes are (rows,
     cols), and the result maps each nonzero product's bits to its mass.
-    Each stage matrix's rows are unpacked once; an accumulator row's
-    product with a stage matrix is the OR of the stage rows its bits
-    select, taken for every stage matrix at once. Several accumulator
-    rows are read as one row against the block-diagonal stage matrix.
-    Pairs are visited accumulator-major in insertion order, zero products
-    are dropped before any probability work, and each nonzero product adds
-    ``acc_mass * stage_mass`` to its bits: the sums, their order and the
-    counters are those of a product-by-product fold. Raises ValueError
-    when the accumulator's width is not the stage's row count.
+    Which pairs give which products depends only on the two shapes and
+    the bits of both tables in order, so ``plans`` maps that key to its
+    plan (``_fold_plan``) and a caller that passes one dict for many folds
+    (``reliability_qb2`` does, for one solve) plans each key once. Every
+    fold then visits the pairs accumulator-major in insertion order, skips
+    zero products before any probability work and adds
+    ``acc_mass * stage_mass`` to each nonzero product's bits: the sums,
+    their order and the counters are those of a product-by-product fold.
+    Raises ValueError when the accumulator's width is not the stage's row
+    count.
+    """
+    key = (acc_shape, stage_shape, tuple(acc), tuple(stage))
+    plan = plans.get(key)
+    if plan is None:
+        plan = plans[key] = _fold_plan(acc, acc_shape, stage, stage_shape)
+    products_by_row, zeros = plan
+    stage_masses = stage.values()
+    pooled: dict[int, float] = {}
+    get = pooled.get
+    for acc_mass, products in zip(acc.values(), products_by_row):
+        for out, mass in zip(products, stage_masses):
+            if out:
+                pooled[out] = get(out, 0.0) + acc_mass * mass
+    if counters is not None:
+        pairs = len(acc) * len(stage)
+        counters.convolution_products += pairs
+        counters.multiplications += pairs - zeros
+        counters.summations += pairs - zeros - len(pooled)
+    return pooled
+
+
+def _fold_plan(acc, acc_shape, stage, stage_shape) -> tuple[list, int]:
+    """Every product of a fold, by accumulator matrix, and the zero count.
+
+    Returns (products_by_row, zeros): entry i lists the bits of accumulator
+    matrix i's product with each stage matrix in insertion order, or is
+    empty when every such product is zero. Each stage matrix's rows are
+    unpacked once; an accumulator row's product with a stage matrix is
+    the OR of the stage rows its bits select, taken for every stage matrix
+    at once. Several accumulator rows are read as one row against the
+    block-diagonal stage matrix.
     """
     acc_rows, acc_cols = acc_shape
     rows, cols = stage_shape
@@ -374,10 +428,9 @@ def _fold(acc, acc_shape, stage, stage_shape, counters=None) -> dict[int, float]
         for h in range(rows):
             shift = h * cols
             stage_rows.append([(bits >> shift & mask) << r * cols for bits in stage])
-    pooled: dict[int, float] = {}
-    get = pooled.get
+    products_by_row = []
     zeros = 0
-    for acc_bits, acc_mass in acc.items():
+    for acc_bits in acc:
         products = None
         for rows_h in stage_rows:
             if acc_bits & 1:
@@ -385,17 +438,11 @@ def _fold(acc, acc_shape, stage, stage_shape, counters=None) -> dict[int, float]
             acc_bits >>= 1
         if products is None:  # an all-zero accumulator row selects nothing
             zeros += len(stage)
-            continue
-        zeros += products.count(0)
-        for out, mass in zip(products, stage.values()):
-            if out:
-                pooled[out] = get(out, 0.0) + acc_mass * mass
-    if counters is not None:
-        pairs = len(acc) * len(stage)
-        counters.convolution_products += pairs
-        counters.multiplications += pairs - zeros
-        counters.summations += pairs - zeros - len(pooled)
-    return pooled
+            products = ()
+        else:
+            zeros += products.count(0)
+        products_by_row.append(products)
+    return products_by_row, zeros
 
 
 def stm_convolve(
@@ -405,7 +452,7 @@ def stm_convolve(
 
     The one-entry fold (``_fold``) of a with b.
     """
-    product = _fold({a.bits: 1.0}, (a.rows, a.cols), {b.bits: 1.0}, (b.rows, b.cols))
+    product = _fold({a.bits: 1.0}, (a.rows, a.cols), {b.bits: 1.0}, (b.rows, b.cols), {})
     return SourceTargetMatrix(a.rows, b.cols, next(iter(product), 0))
 
 
@@ -426,6 +473,7 @@ def convolve_sets(
         (acc.rows, acc.cols),
         stage_set.pooled,
         (stage_set.rows, stage_set.cols),
+        {},
         counters,
     )
     return WeightedStmSet(acc.rows, stage_set.cols, pooled)
@@ -441,6 +489,9 @@ def reliability_qb2(
     mass of the surviving final matrices, which are all the 1x1 connected
     matrix. Both steps pool by matrix bits in plain dicts, and each fold
     unpacks its stage matrices' rows once; no matrix object is built.
+    The walks of stage shapes and the fold plans are kept in two dicts
+    local to this call, so like stages and like folds share them and
+    only redo their probability sums.
     Summation order is fixed (stage order, enumeration order within a
     stage, insertion order in folds) so repeated runs are bit-identical.
     A stage wider than DEFAULT_ENUMERATION_CAP arcs raises
@@ -459,20 +510,22 @@ def reliability_qb2(
             f"qb2 stage {widest.index} has {width} arcs, above the cap of "
             f"{DEFAULT_ENUMERATION_CAP}; its 2^{width} vectors are not enumerated",
         )
+    walks: dict = {}
     tables = []
     for stage in stages:
         if budget is not None:
             budget.check()
-        pooled, _ = _tabulate(network, stage, budget, counters)
+        pooled, _ = _tabulate(network, stage, budget, counters, walks)
         counters.stage_stm_counts.append(len(pooled))
         tables.append(pooled)
     acc = tables[0]
     acc_shape = (len(stages[0].source_nodes), len(stages[0].target_nodes))
+    plans: dict = {}
     for stage, pooled in zip(stages[1:], tables[1:]):
         if budget is not None:
             budget.check()
         shape = (len(stage.source_nodes), len(stage.target_nodes))
-        acc = _fold(acc, acc_shape, pooled, shape, counters)
+        acc = _fold(acc, acc_shape, pooled, shape, plans, counters)
         acc_shape = (acc_shape[0], shape[1])
         counters.fold_stm_counts.append(len(acc))
     total = 0.0

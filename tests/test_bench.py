@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from relengine.bat import EnumerationCapExceeded
@@ -129,3 +134,18 @@ def test_bench_sweep_seed_controls_probabilities():
     assert fixed[0].result.reliability == again[0].result.reliability
     uniform = bench_sweep("ladder", 2, 2, 0.5, ("qb2",))
     assert uniform[0].result.reliability != fixed[0].result.reliability
+
+
+def test_crosscheck_script_runs_from_a_plain_checkout():
+    # no PYTHONPATH: the script finds relengine under src by itself
+    root = Path(__file__).resolve().parent.parent
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    done = subprocess.run(
+        [sys.executable, "scripts/crosscheck_random.py", "--count", "5", "--seed", "7"],
+        cwd=root,
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("5 networks agree: worst spread ")

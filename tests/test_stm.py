@@ -386,6 +386,49 @@ def test_qb2_builds_no_matrix_objects(monkeypatch):
     assert len(tabulate_stage(net, decompose(net).stages[1]).entries) == len(built) > 0
 
 
+@pytest.mark.parametrize(
+    "family, k, shapes, fold_keys",
+    [("series", 300, 1, 1), ("ladder", 50, 5, 4), ("bridge-chain", 32, 4, 3)],
+)
+def test_qb2_walks_each_stage_shape_and_plans_each_fold_once(
+    monkeypatch, family, k, shapes, fold_keys
+):
+    net = build(GeneratorSpec(family, k, 0.9, seed=k))
+    stages = decompose(net).stages
+    walks, plans = [], []
+    walk, fold_plan = stm._walk, stm._fold_plan
+
+    def counting_walk(*args):
+        walks.append(args)
+        return walk(*args)
+
+    def counting_plan(acc, acc_shape, stage, stage_shape):
+        plans.append((acc_shape, stage_shape, tuple(acc), tuple(stage)))
+        return fold_plan(acc, acc_shape, stage, stage_shape)
+
+    monkeypatch.setattr("relengine.stm._walk", counting_walk)
+    monkeypatch.setattr("relengine.stm._fold_plan", counting_plan)
+    r, counters = reliability_qb2(net)
+    assert len(stages) >= k
+    assert len(walks) == shapes
+    assert len(plans) == len(set(plans)) == fold_keys
+    want, want_counters = reference_fold(net)
+    assert (r.hex(), counters) == (want.hex(), want_counters)
+
+
+def test_qb2_keeps_nothing_between_solves():
+    # same shapes, other probabilities: a memo that outlived its solve
+    # would hand B's masses or A's pooled order to the next solve
+    a = build(GeneratorSpec("ladder", 50, 0.9, seed=3))
+    b = build(GeneratorSpec("ladder", 50, 0.9))
+    c = build(GeneratorSpec("bridge-chain", 32, 0.95, seed=5))
+    fresh = {net: reference_fold(net) for net in (a, b, c)}
+    for net in (a, b, a, c, a):
+        r, counters = reliability_qb2(net)
+        want, want_counters = fresh[net]
+        assert (r.hex(), counters) == (want.hex(), want_counters)
+
+
 @pytest.mark.parametrize("bound", [0, 256])
 def test_tabulation_with_bounded_memo_matches_reference(
     monkeypatch, example_uniform, example_mixed, bound
@@ -507,3 +550,21 @@ def test_tabulation_checks_budget_within_a_high_leaf(monkeypatch):
     budget = CountingBudget()
     tabulate_stage(net, stage, budget)
     assert budget.calls == 16 + (1 << 16) // 16
+
+
+@pytest.mark.parametrize("family, k, checks", [("series", 12, 47), ("ladder", 4, 31)])
+def test_qb2_checks_budget_on_memo_hits(family, k, checks):
+    net = build(GeneratorSpec(family, k, 0.9))
+    stages = decompose(net).stages
+    # one per stage, one per arc while its tables are built, leaf 0's,
+    # and one per fold, though most stages reuse a walked shape
+    arcs = sum(len(stage.arc_ids) for stage in stages)
+    assert checks == len(stages) + arcs + len(stages) + len(stages) - 1
+    budget = CountingBudget()
+    reliability_qb2(net, budget)
+    assert budget.calls == checks
+    for raise_on in range(1, checks + 1):
+        budget = CountingBudget(raise_on)
+        with pytest.raises(BudgetExceeded):
+            reliability_qb2(net, budget)
+        assert budget.calls == raise_on
