@@ -6,11 +6,13 @@ A BENCH file (``BENCH_6.json`` at the repository root is one) holds a
 ``workload``, ``seed`` and ``trace`` flag, and keeps the last JSON line of
 ``perfbench/run.py`` under ``result``. A parent run and a change run with
 the same workload, trace flag and seed form a pair. For every workload and
-metric this prints the parent median, the change median, their ratio, and
-how many pairs the change won, where "won" follows the metric's ``better``
-direction in ``BENCHMARK.json`` (a metric it does not list shows "-"):
+metric this prints the parent median, the interquartile range of the
+parent runs (``p.iqr``, "-" with fewer than two), the change median, their
+ratio, and how many pairs the change won, where "won" follows the metric's
+``better`` direction in ``BENCHMARK.json`` (a metric it does not list shows
+"-"). A gain counts only where the medians differ by more than ``p.iqr``:
 
-    python3 scripts/bench_diff.py BENCH_7.json
+    python3 scripts/bench_diff.py BENCH_11.json
 """
 
 from __future__ import annotations
@@ -34,11 +36,14 @@ def directions(benchmark: dict) -> dict[str, str]:
 
 
 def summarise(runs: list[dict], better: dict[str, str]) -> list[tuple]:
-    """Rows (workload, trace, metric, parent median, change median, ratio, won, pairs).
+    """Rows (workload, trace, metric, parent median, parent IQR, change median,
+    ratio, won, pairs).
 
     Workloads and metrics keep the order of their first appearance in
-    `runs`; ratio is change over parent (None when the parent median is 0)
-    and won is None for a metric with no direction.
+    `runs`. The parent IQR is the distance between the quartiles of the
+    parent runs (``statistics.quantiles``' default method), None with
+    fewer than two runs; ratio is change over parent (None when the parent
+    median is 0) and won is None for a metric with no direction.
     """
     values: dict[tuple, dict[str, dict[int, float]]] = {}
     for run in runs:
@@ -52,6 +57,10 @@ def summarise(runs: list[dict], better: dict[str, str]) -> list[tuple]:
         if not parent or not change:
             continue
         old = statistics.median(parent.values())
+        spread = None
+        if len(parent) > 1:
+            low, _, high = statistics.quantiles(parent.values(), n=4)
+            spread = high - low
         new = statistics.median(change.values())
         seeds = sorted(parent.keys() & change.keys())
         won = None
@@ -59,7 +68,7 @@ def summarise(runs: list[dict], better: dict[str, str]) -> list[tuple]:
             sign = 1 if better[name] == "higher" else -1
             won = sum(1 for s in seeds if sign * (change[s] - parent[s]) > 0)
         rows.append(
-            (workload, trace, name, old, new, new / old if old else None, won, len(seeds))
+            (workload, trace, name, old, spread, new, new / old if old else None, won, len(seeds))
         )
     return rows
 
@@ -71,13 +80,17 @@ def main(argv: list[str] | None = None) -> int:
 
     runs = json.loads(args.bench.read_text())["runs"]
     better = directions(json.loads((ROOT / "BENCHMARK.json").read_text()))
-    print(f"{'workload':<8} {'trace':>5} {'metric':<30} {'parent':>12} {'change':>12} {'ratio':>7} {'won':>7}")
-    for workload, trace, name, old, new, ratio, won, pairs in summarise(runs, better):
+    print(
+        f"{'workload':<8} {'trace':>5} {'metric':<30} {'parent':>12} {'p.iqr':>10} "
+        f"{'change':>12} {'ratio':>7} {'won':>7}"
+    )
+    for workload, trace, name, old, spread, new, ratio, won, pairs in summarise(runs, better):
+        spread_text = "-" if spread is None else f"{spread:.4g}"
         ratio_text = "-" if ratio is None else f"{ratio:.3f}"
         won_text = "-" if won is None else f"{won}/{pairs}"
         print(
-            f"{workload:<8} {trace:>5} {name:<30} {old:>12.6g} {new:>12.6g} "
-            f"{ratio_text:>7} {won_text:>7}"
+            f"{workload:<8} {trace:>5} {name:<30} {old:>12.6g} {spread_text:>10} "
+            f"{new:>12.6g} {ratio_text:>7} {won_text:>7}"
         )
     return 0
 

@@ -22,39 +22,63 @@ Fundamentals E100-A(9), 2017): with first[v] and last[v] the lowest and
 highest stage that has an arc at node v, v is on boundary s exactly when
 first[v] <= s < last[v]. So a node that skips a stage stays on every
 boundary it rides through, and the fold keeps the paths that return to it.
+Merging two stages removes the boundary between them and leaves every
+other boundary's nodes as they were, so the stages are measured once and
+each merge only deletes one boundary.
+
+A chain holds one cut and one stage per path arc, so the per-cut and
+per-stage bookkeeping is kept to plain lists and tuples: the records are
+named tuples, node regions and arc endpoints are lists indexed by node
+and arc id, and one adjacency serves the shortest path and every cut.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from itertools import chain
+from typing import NamedTuple
 
 from . import graphops
 from .network import Network
 
 
-@dataclass(frozen=True)
-class CutInfo:
+class CutInfo(NamedTuple):
     """One pinned minimum cut and the state the search held when it was found.
 
     Every cut of a chain shares `joined`, all nodes in the order they
     joined the source side; this cut's source side is its first
     `side_size` nodes, so the nested sides cost one tuple, not one set each.
+    The repr leaves `joined` out, since it lists every node of the chain.
     """
 
     index: int
     path_arc: int
     arc_ids: frozenset[int]
     separated_sources: tuple[int, ...]
-    joined: tuple[int, ...] = field(repr=False)
+    joined: tuple[int, ...]
     side_size: int
 
     @property
     def source_side(self) -> frozenset[int]:
         return frozenset(self.joined[: self.side_size])
 
+    def __repr__(self) -> str:
+        return (
+            f"CutInfo(index={self.index!r}, path_arc={self.path_arc!r}, "
+            f"arc_ids={self.arc_ids!r}, separated_sources={self.separated_sources!r}, "
+            f"side_size={self.side_size!r})"
+        )
 
-@dataclass(frozen=True)
-class Stage:
+
+class Stage(NamedTuple):
+    """One stage of the chain, numbered from 1.
+
+    `arc_ids` are its arcs in id order. `source_nodes` and `target_nodes`
+    are its ordered boundaries with the previous and the next stage (the
+    network's source for the first stage and its sink for the last), and
+    `node_ids` are the nodes of its arcs plus those riding through it.
+    """
+
     index: int
     arc_ids: tuple[int, ...]
     source_nodes: tuple[int, ...]
@@ -73,14 +97,9 @@ class Decomposition:
     stages: tuple[Stage, ...] | None = None
 
 
-def _path_nodes(network: Network, path_arcs: tuple[int, ...]) -> list[int]:
-    nodes = [network.source]
-    at = network.source
-    for arc_id in path_arcs:
-        a = network.arcs[arc_id - 1]
-        at = a.v if a.u == at else a.u
-        nodes.append(at)
-    return nodes
+def _arc_ends(network: Network) -> tuple[list[int], list[int]]:
+    """us[i] and vs[i]: the endpoints of arc i (slot 0 is unused)."""
+    return [0] + [a.u for a in network.arcs], [0] + [a.v for a in network.arcs]
 
 
 def find_shortest_mcs(network: Network) -> Decomposition:
@@ -99,9 +118,13 @@ def find_shortest_mcs(network: Network) -> Decomposition:
     and the settled nodes are updated in place from cut to cut, and the
     region of a cut is the nodes its search newly reached.
     """
-    path = graphops.shortest_path(network, graphops.unit_weights(network))
-    nodes_on_path = _path_nodes(network, path)
     adj = graphops.adjacency(network)
+    path = graphops.shortest_path(network, adj, graphops.unit_weights(network))
+    us, vs = _arc_ends(network)
+    nodes_on_path = [network.source]
+    for arc_id in path:
+        at = nodes_on_path[-1]
+        nodes_on_path.append(vs[arc_id] if us[arc_id] == at else us[arc_id])
     caps = [1] * network.arc_count
     sinks = set(nodes_on_path)  # nodes_on_path[i:] inside the loop
     settled: set[int] = set()
@@ -114,7 +137,7 @@ def find_shortest_mcs(network: Network) -> Decomposition:
         sinks.discard(nodes_on_path[i - 1])
         # Settled nodes and earlier path nodes are never sinks, so only a
         # grown source can overlap them.
-        if any(v in sinks for v in sep_sources):
+        if not sinks.isdisjoint(sep_sources):
             continue  # no cut can hold exactly this path arc; stages merge here
         caps[arc_id - 1] = 0
         reached, cut = graphops.min_cut_partition(
@@ -125,17 +148,7 @@ def find_shortest_mcs(network: Network) -> Decomposition:
         found.append((i, arc_id, cut, sep_sources, len(joined), len(reached)))
         joined.extend(reached)
         sep_sources = tuple(
-            sorted(
-                {
-                    node
-                    for cut_arc in cut
-                    for node in (
-                        network.arcs[cut_arc - 1].u,
-                        network.arcs[cut_arc - 1].v,
-                    )
-                    if node not in settled
-                }
-            )
+            sorted({v for c in cut for v in (us[c], vs[c]) if v not in settled})
         )
         pending = set(sep_sources)
 
@@ -160,19 +173,22 @@ def self_adjust(network: Network, decomposition: Decomposition) -> Decomposition
     """
     regions = decomposition.regions
     count = len(regions)
-    region_of = {}
+    region_of = [0] * (network.node_count + 1)
     for idx, nodes in enumerate(regions):
         for node in nodes:
             region_of[node] = idx
 
     assigned: list[list[int]] = [[] for _ in range(count)]
-    crossing: dict[int, list[int]] = {b: [] for b in range(1, count)}
+    # crossing[b]: the arcs between regions b - 1 and b (slot 0 is unused)
+    crossing: list[list[int]] = [[] for _ in range(count)]
     for a in network.arcs:
-        j, k = sorted((region_of[a.u], region_of[a.v]))
+        j, k = region_of[a.u], region_of[a.v]
         if j == k:
             assigned[j].append(a.id)
         elif k == j + 1:
             crossing[k].append(a.id)
+        elif j == k + 1:
+            crossing[j].append(a.id)
         else:
             raise AssertionError(f"arc {a.id} spans non-adjacent regions")
 
@@ -197,15 +213,15 @@ def _stage_spans(network: Network, arcsets) -> tuple[list[int], list[int]]:
 
     A node with no arc gets the empty span (len(arcsets), -1).
     """
+    us, vs = _arc_ends(network)
     first = [len(arcsets)] * (network.node_count + 1)
     last = [-1] * (network.node_count + 1)
+    for s in range(len(arcsets) - 1, -1, -1):
+        for arc_id in arcsets[s]:
+            first[us[arc_id]] = first[vs[arc_id]] = s
     for s, arcs in enumerate(arcsets):
         for arc_id in arcs:
-            a = network.arcs[arc_id - 1]
-            for v in (a.u, a.v):
-                if last[v] < 0:
-                    first[v] = s
-                last[v] = s
+            last[us[arc_id]] = last[vs[arc_id]] = s
     return first, last
 
 
@@ -231,42 +247,39 @@ def stage_sources_targets(
 
     Merges neighbouring stages until the chain is sound: the first stage
     must touch the source, the last must touch the sink, and no boundary
-    may hold more than two nodes (the widest is merged first). Every
-    pass measures the stages from one stage-span table.
+    may hold more than two nodes. Merging two stages deletes the boundary
+    between them and leaves every other boundary's nodes as they were, so
+    the merges these rules call for, in any order, delete exactly the
+    boundaries before the source's first stage, those after the sink's
+    last stage and those wider than two nodes. The stages are measured
+    once, those boundaries dropped in one pass, and the span table built
+    once more for the merged stages' node lists, so the cost stays linear
+    in the network however many stages merge.
     """
     if decomposition.stage_arcs is None:
         raise ValueError("self_adjust must run before stage_sources_targets")
-    arcsets = [list(arcs) for arcs in decomposition.stage_arcs]
-
-    while True:
+    arcsets = decomposition.stage_arcs
+    first, last = _stage_spans(network, arcsets)
+    boundaries = _bucket(first, last, len(arcsets) - 1, 0)
+    lo, hi = first[network.source], last[network.sink]
+    kept = [s for s, nodes in enumerate(boundaries) if lo <= s < hi and len(nodes) <= 2]
+    if len(kept) < len(boundaries):
+        # a merged stage runs from just after one kept boundary to the next
+        ends = [-1, *kept, len(arcsets) - 1]
+        arcsets = tuple(
+            tuple(sorted(chain.from_iterable(arcsets[a + 1 : b + 1])))
+            for a, b in zip(ends, ends[1:])
+        )
+        boundaries = [boundaries[s] for s in kept]
         first, last = _stage_spans(network, arcsets)
-        end = len(arcsets) - 1
-        boundaries = _bucket(first, last, end, 0)
-        widths = [len(b) for b in boundaries]
-        if end < 1:
-            break
-        if first[network.source] > 0:
-            at = 0
-        elif last[network.sink] < end:
-            at = end - 1
-        elif max(widths) > 2:
-            at = widths.index(max(widths))
-        else:
-            break
-        arcsets[at : at + 2] = [sorted(arcsets[at] + arcsets[at + 1])]
 
-    node_ids = _bucket(first, last, end + 1, 1)
+    node_ids = _bucket(first, last, len(arcsets), 1)
     sources = [(network.source,)] + boundaries
     targets = boundaries + [(network.sink,)]
     stages = tuple(
-        Stage(idx + 1, tuple(arcs), sources[idx], targets[idx], node_ids[idx])
-        for idx, arcs in enumerate(arcsets)
+        map(Stage, range(1, len(arcsets) + 1), arcsets, sources, targets, node_ids)
     )
-    return replace(
-        decomposition,
-        stage_arcs=tuple(tuple(arcs) for arcs in arcsets),
-        stages=stages,
-    )
+    return replace(decomposition, stage_arcs=arcsets, stages=stages)
 
 
 def decompose(network: Network) -> Decomposition:

@@ -38,19 +38,23 @@ def ld_weights(network: Network) -> ArcWeighting:
     return tuple(1 << i for i in range(1, network.arc_count + 1))
 
 
-def shortest_path(network: Network, weighting: Sequence[int]) -> tuple[int, ...]:
+def shortest_path(
+    network: Network,
+    adj: Sequence[Sequence[tuple[int, int]]],
+    weighting: Sequence[int],
+) -> tuple[int, ...]:
     """Arc ids of a minimum total weight path from node 1 to node n.
 
-    Plain Dijkstra over exact integer distances. Relaxation requires a
-    strict improvement and scans arcs in id order, so the returned path
-    is deterministic even when the weighting has ties.
+    `adj` is `adjacency(network)`. Plain Dijkstra over exact integer
+    distances. Relaxation requires a strict improvement and scans arcs in
+    id order, so the returned path is deterministic even when the
+    weighting has ties.
     """
     if len(weighting) != network.arc_count:
         raise ValueError("weighting length does not match arc count")
     n = network.node_count
     if n == 1:
         return ()
-    adj = adjacency(network)
     dist: list[int | None] = [None] * (n + 1)
     pred_arc = [0] * (n + 1)
     pred_node = [0] * (n + 1)
@@ -106,10 +110,10 @@ def min_cut_partition(
     sources = list(dict.fromkeys(sources))
     if not sources or not sinks:
         raise ValueError("sources and sinks must both be nonempty")
-    overlap = sorted(s for s in sources if s in sinks)
-    if overlap:
-        raise ValueError(f"sources and sinks overlap on {overlap}")
-    if any(s in settled for s in sources):
+    if any(s in sinks or s in settled for s in sources):
+        overlap = sorted(s for s in sources if s in sinks)
+        if overlap:
+            raise ValueError(f"sources and sinks overlap on {overlap}")
         raise ValueError("sources must not be settled")
     if len(capacities) != network.arc_count:
         raise ValueError("capacity list length does not match arc count")

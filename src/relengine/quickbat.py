@@ -51,7 +51,9 @@ def first_connected(network: Network) -> int:
     sum of its coordinate place values 2^(i-1). That path is exactly the
     shortest path under the increasing power-of-two weighting.
     """
-    path = graphops.shortest_path(network, graphops.ld_weights(network))
+    path = graphops.shortest_path(
+        network, graphops.adjacency(network), graphops.ld_weights(network)
+    )
     bits = 0
     for arc_id in path:
         bits |= 1 << (arc_id - 1)

@@ -1,5 +1,8 @@
 import random
 
+import importlib
+from dataclasses import replace
+
 import pytest
 
 from relengine import graphops
@@ -12,6 +15,9 @@ from relengine.decompose import (
 )
 from relengine.generators import FAMILIES, GeneratorSpec, build, random_network
 from relengine.network import make_network
+
+# the submodule, not the decompose function that relengine exports
+decompose_module = importlib.import_module("relengine.decompose")
 
 
 def removed_disconnects(net, removed_ids, sources):
@@ -330,3 +336,143 @@ def test_node_rides_through_a_stage_without_arcs():
     assert tuple(s.target_nodes for s in d.stages) == ((2, 3), (2, 3), (6,))
     assert d.stages[1].node_ids == (2, 3, 5)
     check_stage_invariants(net, d)
+
+
+def stages_by_remeasuring(net, d):
+    """Stages from the merge loop that measures the whole chain after each merge.
+
+    The reference for stage_sources_targets: every pass rebuilds the span
+    table and every boundary, then merges the stages before the source's
+    first stage or after the sink's last one, or else the two stages at
+    the widest (leftmost) boundary if it holds more than two nodes.
+    Returns (arc_ids, source_nodes, target_nodes, node_ids) per stage.
+    """
+    arcsets = [list(arcs) for arcs in d.stage_arcs]
+    while True:
+        first = [len(arcsets)] * (net.node_count + 1)
+        last = [-1] * (net.node_count + 1)
+        for s, arcs in enumerate(arcsets):
+            for arc_id in arcs:
+                a = net.arcs[arc_id - 1]
+                for v in (a.u, a.v):
+                    if last[v] < 0:
+                        first[v] = s
+                    last[v] = s
+        end = len(arcsets) - 1
+        boundaries = [
+            tuple(v for v in range(1, net.node_count + 1) if first[v] <= s < last[v])
+            for s in range(end)
+        ]
+        widths = [len(b) for b in boundaries]
+        if end < 1:
+            break
+        if first[net.source] > 0:
+            at = 0
+        elif last[net.sink] < end:
+            at = end - 1
+        elif max(widths) > 2:
+            at = widths.index(max(widths))
+        else:
+            break
+        arcsets[at : at + 2] = [sorted(arcsets[at] + arcsets[at + 1])]
+    node_ids = [
+        tuple(v for v in range(1, net.node_count + 1) if first[v] <= s <= last[v])
+        for s in range(end + 1)
+    ]
+    sources = [(net.source,)] + boundaries
+    targets = boundaries + [(net.sink,)]
+    return [
+        (tuple(arcs), sources[s], targets[s], node_ids[s])
+        for s, arcs in enumerate(arcsets)
+    ]
+
+
+def merge_test_networks():
+    for k in (10, 50, 120):
+        yield build(GeneratorSpec("grid", k, 0.9))
+    rng = random.Random(71)
+    for _ in range(60):
+        yield random_network(rng, node_range=(10, 60), arc_range=(20, 150))
+
+
+def test_stage_merge_matches_remeasuring_reference():
+    merged = 0
+    for net in merge_test_networks():
+        d = decompose(net)
+        want = stages_by_remeasuring(net, self_adjust(net, find_shortest_mcs(net)))
+        got = [(s.arc_ids, s.source_nodes, s.target_nodes, s.node_ids) for s in d.stages]
+        assert got == want
+        assert d.stage_arcs == tuple(arcs for arcs, *_ in want)
+        assert [s.index for s in d.stages] == list(range(1, len(want) + 1))
+        merged += len(d.stages) < len(self_adjust(net, find_shortest_mcs(net)).stage_arcs)
+    assert merged >= 20  # the reference's merge loop ran on most of them
+
+
+def test_stage_merge_matches_reference_on_scrambled_stages():
+    # Stages cut from a shuffled arc list need not touch the source first
+    # or the sink last, so the source and sink rules merge them too.
+    rng = random.Random(73)
+    end_merges = 0
+    for net in merge_test_networks():
+        ids = [a.id for a in net.arcs]
+        rng.shuffle(ids)
+        ends = sorted(rng.sample(range(1, len(ids)), rng.randint(1, min(12, len(ids) - 1))))
+        pieces = [ids[a:b] for a, b in zip([0, *ends], [*ends, len(ids)])]
+        raw = replace(
+            find_shortest_mcs(net), stage_arcs=tuple(tuple(sorted(p)) for p in pieces)
+        )
+        d = stage_sources_targets(net, raw)
+        want = stages_by_remeasuring(net, raw)
+        got = [(s.arc_ids, s.source_nodes, s.target_nodes, s.node_ids) for s in d.stages]
+        assert got == want
+        touches = [{v for i in p for v in (net.arcs[i - 1].u, net.arcs[i - 1].v)} for p in pieces]
+        end_merges += net.source not in touches[0] or net.sink not in touches[-1]
+    assert end_merges >= 20
+
+
+def test_stage_merge_measures_the_chain_at_most_twice(monkeypatch):
+    spans = decompose_module._stage_spans
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return spans(*args)
+
+    monkeypatch.setattr(decompose_module, "_stage_spans", counted)
+    net = build(GeneratorSpec("grid", 200, 0.9))
+    d = decompose(net)
+    assert len(d.stages) < len(self_adjust(net, find_shortest_mcs(net)).stage_arcs)
+    assert len(calls) <= 2
+
+
+def test_cut_and_stage_records_are_immutable(example_uniform):
+    d = decompose(example_uniform)
+    with pytest.raises(AttributeError):
+        d.cuts[0].side_size = 0
+    with pytest.raises(AttributeError):
+        d.stages[0].arc_ids = ()
+
+
+def test_decompositions_of_one_network_are_equal_and_hash_alike():
+    net = build(GeneratorSpec("ladder", 20, 0.9))
+    one, two = decompose(net), decompose(net)
+    assert one is not two and one == two
+    assert hash(one) == hash(two)
+    assert hash(one.cuts[3]) == hash(two.cuts[3])
+    assert hash(one.stages[3]) == hash(two.stages[3])
+
+
+def test_cut_source_side_agrees_with_side_size():
+    net = build(GeneratorSpec("series", 1200, 0.9))
+    cuts = find_shortest_mcs(net).cuts
+    assert len(cuts) == 1200
+    for cut in cuts:
+        assert len(cut.source_side) == cut.side_size
+        assert cut.source_side == frozenset(cut.joined[: cut.side_size])
+
+
+def test_cut_repr_leaves_out_joined():
+    cut = find_shortest_mcs(build(GeneratorSpec("series", 50, 0.9))).cuts[10]
+    text = repr(cut)
+    assert repr(cut.joined) not in text and "joined" not in text
+    assert "path_arc=11" in text and "side_size=11" in text

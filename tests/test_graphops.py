@@ -78,25 +78,26 @@ def test_weight_helpers_are_monotone_power_of_two_sequences():
 
 
 def test_shortest_path_on_example(example_uniform):
-    assert shortest_path(example_uniform, unit_weights(example_uniform)) == (2, 6)
-    assert shortest_path(example_uniform, (64, 32, 16, 8, 4, 2, 1)) == (2, 6)
+    adj = adjacency(example_uniform)
+    assert shortest_path(example_uniform, adj, unit_weights(example_uniform)) == (2, 6)
+    assert shortest_path(example_uniform, adj, (64, 32, 16, 8, 4, 2, 1)) == (2, 6)
 
 
 def test_shortest_path_single_arc():
     net = make_network(2, [(1, 2, 0.5)])
-    assert shortest_path(net, unit_weights(net)) == (1,)
+    assert shortest_path(net, adjacency(net), unit_weights(net)) == (1,)
 
 
 def test_shortest_path_rejects_bad_weighting_length(example_uniform):
     with pytest.raises(ValueError):
-        shortest_path(example_uniform, (1, 2, 3))
+        shortest_path(example_uniform, adjacency(example_uniform), (1, 2, 3))
 
 
 def test_shortest_path_reports_unreachable_sink():
     # Bypasses make_network to build a (normally rejected) split graph.
     net = Network(3, (Arc(1, 1, 2, 0.5),))
     with pytest.raises(ValueError, match="no path"):
-        shortest_path(net, (1,))
+        shortest_path(net, adjacency(net), (1,))
 
 
 def test_min_cut_on_example(example_uniform):
@@ -238,7 +239,7 @@ def test_shortest_path_matches_exhaustive_search():
             all_simple_paths(net),
             key=lambda path: sum(weighting[i - 1] for i in path),
         )
-        got = shortest_path(net, weighting)
+        got = shortest_path(net, adjacency(net), weighting)
         # Distinct powers of two make the optimum unique as an arc set.
         assert sorted(got) == sorted(best)
         assert sum(weighting[i - 1] for i in got) == sum(

@@ -568,3 +568,11 @@ def test_qb2_checks_budget_on_memo_hits(family, k, checks):
         with pytest.raises(BudgetExceeded):
             reliability_qb2(net, budget)
         assert budget.calls == raise_on
+
+
+def test_qb2_refuses_a_long_wide_grid():
+    # grid k=1500 merges about 1500 stages into one; the merge measures
+    # the chain once instead of once per merge
+    net = build(GeneratorSpec("grid", 1500, 0.9))
+    with pytest.raises(EnumerationCapExceeded, match="stage 2 has 7495 arcs"):
+        reliability_qb2(net)
