@@ -24,7 +24,7 @@ first[v] <= s < last[v]. So a node that skips a stage stays on every
 boundary it rides through, and the fold keeps the paths that return to it.
 Merging two stages removes the boundary between them and leaves every
 other boundary's nodes as they were, so the stages are measured once and
-each merge only deletes one boundary.
+the boundaries that the merges remove are dropped in one pass.
 
 A chain holds one cut and one stage per path arc, so the per-cut and
 per-stage bookkeeping is kept to plain lists and tuples: the records are

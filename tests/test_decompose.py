@@ -398,13 +398,14 @@ def merge_test_networks():
 def test_stage_merge_matches_remeasuring_reference():
     merged = 0
     for net in merge_test_networks():
-        d = decompose(net)
-        want = stages_by_remeasuring(net, self_adjust(net, find_shortest_mcs(net)))
+        adjusted = self_adjust(net, find_shortest_mcs(net))
+        d = stage_sources_targets(net, adjusted)
+        want = stages_by_remeasuring(net, adjusted)
         got = [(s.arc_ids, s.source_nodes, s.target_nodes, s.node_ids) for s in d.stages]
         assert got == want
         assert d.stage_arcs == tuple(arcs for arcs, *_ in want)
         assert [s.index for s in d.stages] == list(range(1, len(want) + 1))
-        merged += len(d.stages) < len(self_adjust(net, find_shortest_mcs(net)).stage_arcs)
+        merged += len(d.stages) < len(adjusted.stage_arcs)
     assert merged >= 20  # the reference's merge loop ran on most of them
 
 
