@@ -20,16 +20,15 @@ _BUDGET_STRIDE = 4096
 
 
 class EnumerationCapExceeded(RuntimeError):
-    """Full 2^m enumeration refused because m exceeds the safety cap."""
+    """Full 2^m enumeration refused because m exceeds DEFAULT_ENUMERATION_CAP."""
 
-    def __init__(self, arc_count: int, cap: int, message: str | None = None):
+    def __init__(self, arc_count: int, message: str | None = None):
         super().__init__(
             message
-            or f"full enumeration over {arc_count} arcs exceeds the cap of {cap}; "
-            "use the qb2 backend for networks this large"
+            or f"full enumeration over {arc_count} arcs exceeds the cap of "
+            f"{DEFAULT_ENUMERATION_CAP}; use the qb2 backend for networks this large"
         )
         self.arc_count = arc_count
-        self.cap = cap
 
 
 def half_probability_tables(
@@ -62,16 +61,16 @@ def _table(probs: Sequence[float], budget: Budget | None) -> list[float]:
     return out
 
 
-def reliability_oracle(
-    network: Network, cap: int = DEFAULT_ENUMERATION_CAP, budget: Budget | None = None
-) -> float:
+def reliability_oracle(network: Network, budget: Budget | None = None) -> float:
     """Ground-truth reliability: sum the probability of every connected vector.
 
     Deliberately self-contained (its own union-find, its own loop) so the
     smarter backends are validated against an independent implementation.
+    A network of more than DEFAULT_ENUMERATION_CAP arcs raises
+    EnumerationCapExceeded before any vector is enumerated.
     """
-    if network.arc_count > cap:
-        raise EnumerationCapExceeded(network.arc_count, cap)
+    if network.arc_count > DEFAULT_ENUMERATION_CAP:
+        raise EnumerationCapExceeded(network.arc_count)
     n = network.node_count
     m = network.arc_count
     if n == 1:

@@ -30,13 +30,13 @@ def run_backend(
     network: Network,
     backend: str,
     budget_s: float | None = None,
-    cap: int = bat.DEFAULT_ENUMERATION_CAP,
     with_counters: bool = False,
 ) -> RunResult:
     """Run one backend under an optional wall-clock budget.
 
     A blown budget is reported as status ``timeout`` and a refused
-    enumeration (arc count above the cap) as ``skipped``; neither raises.
+    enumeration (more arcs than ``bat.DEFAULT_ENUMERATION_CAP`` in the
+    oracle's network or in one qb2 stage) as ``skipped``; neither raises.
     """
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
@@ -45,7 +45,7 @@ def run_backend(
     start = time.perf_counter()
     try:
         if backend == "oracle":
-            value = bat.reliability_oracle(network, cap=cap, budget=budget)
+            value = bat.reliability_oracle(network, budget=budget)
         elif backend == "qbat":
             stats = quickbat.QuickBatStats()
             value = quickbat.reliability_quick_bat(network, budget=budget, stats=stats)
@@ -75,18 +75,16 @@ class CrosscheckReport:
 
 
 def crosscheck(
-    network: Network,
-    tolerance: float = DEFAULT_TOLERANCE,
-    cap: int = bat.DEFAULT_ENUMERATION_CAP,
+    network: Network, tolerance: float = DEFAULT_TOLERANCE
 ) -> CrosscheckReport:
     """Run every backend and compare the answers pairwise.
 
     The network must be small enough for full enumeration; a cap refusal
     propagates to the caller rather than producing a vacuous pass.
     """
-    if network.arc_count > cap:
-        raise bat.EnumerationCapExceeded(network.arc_count, cap)
-    results = [run_backend(network, backend, cap=cap) for backend in BACKENDS]
+    if network.arc_count > bat.DEFAULT_ENUMERATION_CAP:
+        raise bat.EnumerationCapExceeded(network.arc_count)
+    results = [run_backend(network, backend) for backend in BACKENDS]
     values = [r.reliability for r in results if r.reliability is not None]
     max_delta = max(values) - min(values) if values else float("inf")
     passed = len(values) == len(BACKENDS) and max_delta <= tolerance
@@ -123,7 +121,6 @@ def bench_sweep(
     backends: tuple[str, ...],
     budget_s: float = DEFAULT_BUDGET_S,
     seed: int | None = None,
-    cap: int = bat.DEFAULT_ENUMERATION_CAP,
 ) -> list[BenchRow]:
     """One row per (instance, backend), in sweep order.
 
@@ -134,7 +131,7 @@ def bench_sweep(
     for k in range(k_min, k_max + 1):
         network = build(GeneratorSpec(family, k, p, seed))
         for backend in backends:
-            result = run_backend(network, backend, budget_s=budget_s, cap=cap)
+            result = run_backend(network, backend, budget_s=budget_s)
             rows.append(
                 BenchRow(family, k, network.node_count, network.arc_count, result)
             )

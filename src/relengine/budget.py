@@ -23,7 +23,7 @@ class Budget:
     __slots__ = ("seconds", "_deadline")
 
     def __init__(self, seconds: float):
-        if seconds <= 0:
+        if not seconds > 0:  # also refuses nan, which would never expire
             raise ValueError("budget must be positive")
         self.seconds = seconds
         self._deadline = time.monotonic() + seconds

@@ -1,13 +1,12 @@
 """Command line surface.
 
 Subcommands: compute, crosscheck, bench, generate. Exit codes: 0 on
-success, 1 for parse or validation failures, 2 for bad usage (argparse),
-3 when a backend refuses an enumeration above its cap, 4 when a
-crosscheck exceeds its tolerance, 5 when ``compute --budget SECONDS``
-runs out of time before the answer is known.
-
-The environment variable RELENGINE_ORACLE_CAP overrides the oracle's
-arc-count cap.
+success, 1 for parse or validation failures, 2 for bad usage (argparse,
+including a ``--budget`` that is not a positive number of seconds), 3
+when a backend refuses to enumerate more than the fixed cap of 30 arcs
+(the oracle's whole network, or one qb2 stage), 4 when a crosscheck
+exceeds its tolerance, 5 when ``compute --budget SECONDS`` runs out of
+time before the answer is known.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 
 from . import bat, bench, generators
@@ -37,18 +35,6 @@ def format_reliability(value: float) -> str:
         return "0.000000000"
     decimals = max(0, 9 - math.floor(math.log10(value)))
     return f"{value:.{decimals}f}"
-
-
-def _enumeration_cap() -> int:
-    raw = os.environ.get("RELENGINE_ORACLE_CAP")
-    if raw is None:
-        return bat.DEFAULT_ENUMERATION_CAP
-    try:
-        return int(raw)
-    except ValueError:
-        raise SystemExit(
-            f"relengine: RELENGINE_ORACLE_CAP={raw!r} is not an integer"
-        ) from None
 
 
 def _load_network(path: str):
@@ -84,11 +70,7 @@ def _cmd_compute(args) -> int:
         print(explain_decomposition(network))
         return EXIT_OK
     result = bench.run_backend(
-        network,
-        args.backend,
-        budget_s=args.budget,
-        cap=_enumeration_cap(),
-        with_counters=args.counters,
+        network, args.backend, budget_s=args.budget, with_counters=args.counters
     )
     if result.status != "ok":
         print(f"relengine: {result.detail}", file=sys.stderr)
@@ -130,9 +112,7 @@ def _cmd_crosscheck(args) -> int:
             print(f"relengine: {exc}", file=sys.stderr)
             return EXIT_INVALID_INPUT
     try:
-        report = bench.crosscheck(
-            network, tolerance=args.tolerance, cap=_enumeration_cap()
-        )
+        report = bench.crosscheck(network, tolerance=args.tolerance)
     except bat.EnumerationCapExceeded as exc:
         print(f"relengine: {exc}", file=sys.stderr)
         return EXIT_CAP
@@ -161,7 +141,7 @@ def _cmd_bench(args) -> int:
     try:
         rows = bench.bench_sweep(
             args.family, args.k_min, args.k_max, args.p, backends,
-            budget_s=args.budget, seed=args.seed, cap=_enumeration_cap(),
+            budget_s=args.budget, seed=args.seed,
         )
     except (ValueError, NetworkError) as exc:
         print(f"relengine: {exc}", file=sys.stderr)
@@ -249,7 +229,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--backends", default=",".join(bench.BACKENDS),
         help="comma separated subset of " + ",".join(bench.BACKENDS),
     )
-    bench_parser.add_argument("--budget", type=float, default=bench.DEFAULT_BUDGET_S)
+    bench_parser.add_argument(
+        "--budget", type=_positive_seconds, default=bench.DEFAULT_BUDGET_S,
+        metavar="SECONDS", help="wall-clock allowance per backend run",
+    )
     bench_parser.add_argument("--seed", type=int, default=None)
     output = bench_parser.add_mutually_exclusive_group()
     output.add_argument("--csv", action="store_true")

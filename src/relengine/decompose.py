@@ -114,9 +114,9 @@ def find_shortest_mcs(network: Network) -> Decomposition:
     The nodes on the previous cut's source side are settled: every arc
     leaving them ends in one of that cut's outer endpoints, which are
     sources of the next cut, so each search starts from the sources not
-    yet settled and never enters a settled node. The capacities, the sinks
-    and the settled nodes are updated in place from cut to cut, and the
-    region of a cut is the nodes its search newly reached.
+    yet settled and never enters a settled node. The sinks and the settled
+    nodes are updated in place from cut to cut, and the region of a cut
+    is the nodes its search newly reached.
     """
     adj = graphops.adjacency(network)
     path = graphops.shortest_path(network, adj, graphops.unit_weights(network))
@@ -125,7 +125,6 @@ def find_shortest_mcs(network: Network) -> Decomposition:
     for arc_id in path:
         at = nodes_on_path[-1]
         nodes_on_path.append(vs[arc_id] if us[arc_id] == at else us[arc_id])
-    caps = [1] * network.arc_count
     sinks = set(nodes_on_path)  # nodes_on_path[i:] inside the loop
     settled: set[int] = set()
     joined: list[int] = []
@@ -139,11 +138,9 @@ def find_shortest_mcs(network: Network) -> Decomposition:
         # grown source can overlap them.
         if not sinks.isdisjoint(sep_sources):
             continue  # no cut can hold exactly this path arc; stages merge here
-        caps[arc_id - 1] = 0
         reached, cut = graphops.min_cut_partition(
-            network, adj, caps, pending, sinks, settled
+            network, adj, arc_id, pending, sinks, settled
         )
-        caps[arc_id - 1] = 1
         settled.update(reached)
         found.append((i, arc_id, cut, sep_sources, len(joined), len(reached)))
         joined.extend(reached)

@@ -3,11 +3,12 @@
 Weights are exact Python integers so that the power-of-two weighting
 stays collision free at any arc count; with distinct powers of two the
 shortest path is unique and Dijkstra's tie breaking is never exercised.
-Minimum cuts take any non-negative integer capacities, and their ties
-are settled by a fixed rule: the cut with the smallest source side. A
-cut search may be told that some nodes are already settled on the source
-side; those nodes may touch only sources and other settled nodes, so the
-search skips them and costs only the part of the graph it newly reaches.
+Minimum cuts count arcs, one each, except one pinned arc that is free
+to cut; their ties are settled by a fixed rule: the cut with the
+smallest source side. A cut search may be told that some nodes are
+already settled on the source side; those nodes may touch only sources
+and other settled nodes, so the search skips them and costs only the
+part of the graph it newly reaches.
 """
 
 from __future__ import annotations
@@ -87,25 +88,28 @@ def shortest_path(
 def min_cut_partition(
     network: Network,
     adj: Sequence[Sequence[tuple[int, int]]],
-    capacities: Sequence[int],
+    pinned: int,
     sources: Iterable[int],
     sinks: Collection[int],
     settled: Container[int],
 ) -> tuple[tuple[int, ...], frozenset[int]]:
-    """Minimum capacity cut separating `sources` and `settled` from `sinks`.
+    """Fewest-arc cut separating `sources` and `settled` from `sinks`.
 
-    `adj` is `adjacency(network)`. The settled nodes are already known to
-    sit on the source side, and every arc at a settled node must end in a
-    source or another settled node, so the search never enters them: a
-    call costs the part of the graph it reaches, not O(n + m).
+    `adj` is `adjacency(network)`. Every arc counts one, except arc
+    `pinned`, which costs nothing to cut and which the search never
+    crosses; an id of no arc, such as 0, pins nothing. The settled nodes
+    are already known to sit on the source side, and every arc at a
+    settled node must end in a source or another settled node, so the
+    search never enters them: a call costs the part of the graph it
+    reaches, not O(n + m).
 
     Returns (reached, cut_arc_ids): the real nodes the last, failing
     search reaches from `sources` in the residual graph, in the order it
     reaches them, and every arc from one of them to a node outside both
-    them and `settled`. Shortest augmenting paths (Edmonds-Karp) saturate
-    a maximum flow, and the reached set is the same after any maximum
-    flow, so when several cuts tie this picks the one with the smallest
-    source side.
+    them and `settled`, the pinned arc included. Shortest augmenting
+    paths (Edmonds-Karp) saturate a maximum flow, and the reached set is
+    the same after any maximum flow, so when several cuts tie this picks
+    the one with the smallest source side.
     """
     sources = list(dict.fromkeys(sources))
     if not sources or not sinks:
@@ -115,32 +119,30 @@ def min_cut_partition(
         if overlap:
             raise ValueError(f"sources and sinks overlap on {overlap}")
         raise ValueError("sources must not be settled")
-    if len(capacities) != network.arc_count:
-        raise ValueError("capacity list length does not match arc count")
 
-    # Net flow on each arc the search has pushed on, counted from its
-    # lower-numbered end; an undirected arc of capacity c has residual
-    # c - f from that end and c + f back.
+    # flow[arc] is the end that the arc's unit of flow runs into; an arc
+    # without flow has no entry. No flow ever leaves a sink, so the last
+    # arc of every augmenting path has one unit of room, every path
+    # carries one unit, and an arc is full from u exactly when its flow
+    # runs into the node across it.
     flow: dict[int, int] = {}
     while True:
         # Breadth-first search from every source at once; via[v] is the
-        # arc, the node and the residual capacity that first reached v,
-        # None at a source.
-        via: dict[int, tuple[int, int, int] | None] = dict.fromkeys(sources)
+        # arc and the node that first reached v, None at a source.
+        via: dict[int, tuple[int, int] | None] = dict.fromkeys(sources)
         queue = list(sources)
         end = 0
         for u in queue:
             for arc_id, v in adj[u]:
                 if v in via or v in settled:
                     continue
-                f = flow.get(arc_id, 0)
-                residual = capacities[arc_id - 1] - (f if u < v else -f)
-                if residual > 0:
-                    via[v] = (arc_id, u, residual)
-                    if v in sinks:
-                        end = v
-                        break
-                    queue.append(v)
+                if arc_id == pinned or flow.get(arc_id) == v:
+                    continue  # no room from u
+                via[v] = (arc_id, u)
+                if v in sinks:
+                    end = v
+                    break
+                queue.append(v)
             if end:
                 break
         if not end:
@@ -151,11 +153,10 @@ def min_cut_partition(
                 if v not in via and v not in settled
             )
             return tuple(queue), cut
-        path = []
         while via[end] is not None:
-            arc_id, u, residual = via[end]
-            path.append((arc_id, u, end, residual))
+            arc_id, u = via[end]
+            if flow.get(arc_id) == u:
+                del flow[arc_id]
+            else:
+                flow[arc_id] = end
             end = u
-        push = min(residual for *_, residual in path)
-        for arc_id, u, v, _ in path:
-            flow[arc_id] = flow.get(arc_id, 0) + (push if u < v else -push)

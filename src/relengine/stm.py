@@ -16,9 +16,8 @@ product linear in the boundary width. Folds pool by matrix bits too: the
 rows of each stage matrix are unpacked once per fold, and a product is
 the OR of the stage rows that the accumulator's bits select.
 ``reliability_qb2`` runs on these plain ints and builds no matrix
-objects; ``tabulate_stage``, ``convolve_sets`` and ``stm_convolve`` wrap
-the same cores and return ``WeightedStmSet`` and ``SourceTargetMatrix``
-views of their results.
+objects; ``tabulate_stage`` and ``convolve_sets`` wrap the same cores
+and return ``WeightedStmSet`` views of their results.
 
 Each stage's and fold's work splits into structure and arithmetic. The
 structure (which leaf gives which matrix, which pair gives which
@@ -445,17 +444,6 @@ def _fold_plan(acc, acc_shape, stage, stage_shape) -> tuple[list, int]:
     return products_by_row, zeros
 
 
-def stm_convolve(
-    a: SourceTargetMatrix, b: SourceTargetMatrix
-) -> SourceTargetMatrix:
-    """Boolean max-min product: out(alpha, beta) = OR over h of a(alpha,h) AND b(h,beta).
-
-    The one-entry fold (``_fold``) of a with b.
-    """
-    product = _fold({a.bits: 1.0}, (a.rows, a.cols), {b.bits: 1.0}, (b.rows, b.cols), {})
-    return SourceTargetMatrix(a.rows, b.cols, next(iter(product), 0))
-
-
 def convolve_sets(
     acc: WeightedStmSet,
     stage_set: WeightedStmSet,
@@ -506,7 +494,6 @@ def reliability_qb2(
     if width > DEFAULT_ENUMERATION_CAP:
         raise EnumerationCapExceeded(
             width,
-            DEFAULT_ENUMERATION_CAP,
             f"qb2 stage {widest.index} has {width} arcs, above the cap of "
             f"{DEFAULT_ENUMERATION_CAP}; its 2^{width} vectors are not enumerated",
         )

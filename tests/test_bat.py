@@ -106,12 +106,12 @@ def test_oracle_on_example(example_uniform, example_mixed):
     )
 
 
-def test_oracle_respects_cap(example_uniform):
-    with pytest.raises(EnumerationCapExceeded) as err:
-        reliability_oracle(example_uniform, cap=5)
-    assert err.value.arc_count == 7
-    assert err.value.cap == 5
+def test_oracle_respects_cap():
     assert DEFAULT_ENUMERATION_CAP == 30
+    net = build(GeneratorSpec("series", 31, 0.9))
+    with pytest.raises(EnumerationCapExceeded, match="31 arcs exceeds the cap") as err:
+        reliability_oracle(net)
+    assert err.value.arc_count == 31
 
 
 def test_oracle_respects_budget():

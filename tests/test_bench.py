@@ -51,15 +51,17 @@ def test_run_backend_reports_counters(example_uniform):
     assert oracle.counters is None
 
 
-def test_run_backend_skips_above_cap(example_uniform):
-    result = run_backend(example_uniform, "oracle", cap=3)
+def test_run_backend_skips_above_cap():
+    net = build(GeneratorSpec("series", 31, 0.9))
+    result = run_backend(net, "oracle")
     assert result.status == "skipped"
     assert result.reliability is None
     assert "cap" in result.detail
-    # qbat and qb2 ignore the oracle's cap; qb2 refuses only a stage
-    # wider than its own fixed cap of 30 arcs
-    assert run_backend(example_uniform, "qb2", cap=3).status == "ok"
-    assert run_backend(example_uniform, "qbat", cap=3).status == "ok"
+    # qbat and qb2 answer: qb2 refuses only a stage of more than 30 arcs
+    for backend in ("qb2", "qbat"):
+        result = run_backend(net, backend)
+        assert result.status == "ok"
+        assert result.reliability == pytest.approx(0.9**31, rel=1e-12)
 
 
 def test_run_backend_times_out():

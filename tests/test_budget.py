@@ -24,3 +24,6 @@ def test_budget_rejects_nonpositive_window():
         Budget(0.0)
     with pytest.raises(ValueError):
         Budget(-1.0)
+    # nan compares false against everything, so it would never expire
+    with pytest.raises(ValueError):
+        Budget(float("nan"))

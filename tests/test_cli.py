@@ -230,24 +230,18 @@ def test_removed_bat_backend_is_a_usage_error(example_file, capsys):
     assert "unknown backend 'bat'" in err
 
 
-def test_oracle_cap_env_override(example_file, capsys, monkeypatch):
-    monkeypatch.setenv("RELENGINE_ORACLE_CAP", "5")
-    code, _, err = run_cli(
-        ["compute", example_file, "--backend", "oracle"], capsys
-    )
+def test_compute_oracle_refuses_above_cap(tmp_path, capsys):
+    path = tmp_path / "series31.net"
+    path.write_text(format_network(build(GeneratorSpec("series", 31, 0.5))))
+    code, out, err = run_cli(["compute", str(path), "--backend", "oracle"], capsys)
     assert code == 3
-    assert "cap" in err
-    # enumeration-free backends still work under a tiny cap
-    code, out, _ = run_cli(["compute", example_file], capsys)
-    assert code == 0
-    assert out == "0.9781803000\n"
-
-
-def test_invalid_cap_env_is_rejected(example_file, monkeypatch):
-    monkeypatch.setenv("RELENGINE_ORACLE_CAP", "many")
-    with pytest.raises(SystemExit) as err:
-        main(["compute", example_file, "--backend", "oracle"])
-    assert err.value.code != 0
+    assert out == ""
+    assert "31 arcs exceeds the cap of 30" in err
+    # qb2 and qbat do not enumerate the whole network, so they answer
+    for backend in ("qb2", "qbat"):
+        code, out, _ = run_cli(["compute", str(path), "--backend", backend], capsys)
+        assert code == 0
+        assert out == format_reliability(0.5**31) + "\n"
 
 
 def test_crosscheck_file_passes(example_file, capsys):
@@ -347,6 +341,16 @@ def test_bench_rejects_unknown_backend(capsys):
     )
     assert code == 2
     assert "unknown backend" in err
+
+
+@pytest.mark.parametrize("budget", ["0", "-1", "nan", "soon"])
+def test_bench_rejects_bad_budget(budget):
+    with pytest.raises(SystemExit) as err:
+        main([
+            "bench", "--family", "series", "--k-min", "1", "--k-max", "1",
+            "--p", "0.5", "--budget", budget,
+        ])
+    assert err.value.code == 2
 
 
 def test_bench_rejects_empty_sweep(capsys):

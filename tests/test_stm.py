@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from relengine.bat import (
+    DEFAULT_ENUMERATION_CAP,
     EnumerationCapExceeded,
     half_probability_tables,
     reliability_oracle,
@@ -21,10 +22,10 @@ from relengine.stm import (
     WeightedStmSet,
     convolve_sets,
     reliability_qb2,
-    stm_convolve,
     stm_from_vector,
     tabulate_stage,
 )
+from conftest import build_example
 from vectors import bits_from_states
 
 
@@ -32,6 +33,27 @@ def M(rows):
     return SourceTargetMatrix(
         len(rows), len(rows[0]), bits_from_states(sum(rows, []))
     )
+
+
+def stm_convolve(a, b):
+    """Boolean max-min product from its definition:
+    out(alpha, beta) = OR over h of a(alpha, h) AND b(h, beta)."""
+    assert a.cols == b.rows
+    bits = 0
+    for alpha in range(a.rows):
+        for beta in range(b.cols):
+            if any(a.entry(alpha, h) and b.entry(h, beta) for h in range(a.cols)):
+                bits |= 1 << (alpha * b.cols + beta)
+    return SourceTargetMatrix(a.rows, b.cols, bits)
+
+
+def convolve_one(a, b):
+    """The program's fold (``convolve_sets``) of one-matrix sets a and b."""
+    folded = convolve_sets(
+        WeightedStmSet(a.rows, a.cols, {a.bits: 1.0}),
+        WeightedStmSet(b.rows, b.cols, {b.bits: 1.0}),
+    )
+    return SourceTargetMatrix(a.rows, b.cols, next(iter(folded.pooled), 0))
 
 
 def test_matrix_round_trip_and_equality():
@@ -120,14 +142,15 @@ def test_tabulate_last_stage(example_uniform):
 
 
 def test_convolve_examples():
-    assert stm_convolve(M([[1, 0]]), M([[1, 0], [1, 0]])) == M([[1, 0]])
-    assert stm_convolve(M([[1, 0]]), M([[0, 0], [1, 1]])) == M([[0, 0]])
-    assert stm_convolve(M([[1, 1]]), M([[0, 1], [1, 0]])) == M([[1, 1]])
+    for convolve in (stm_convolve, convolve_one):
+        assert convolve(M([[1, 0]]), M([[1, 0], [1, 0]])) == M([[1, 0]])
+        assert convolve(M([[1, 0]]), M([[0, 0], [1, 1]])) == M([[0, 0]])
+        assert convolve(M([[1, 1]]), M([[0, 1], [1, 0]])) == M([[1, 1]])
 
 
 def test_convolve_dimension_mismatch():
-    with pytest.raises(ValueError, match="1x2 with 3x1"):
-        stm_convolve(M([[1, 0]]), M([[1], [0], [1]]))
+    with pytest.raises(ValueError, match="2x3 with 2x2"):
+        convolve_one(M([[1, 0, 1], [0, 1, 0]]), M([[1, 0], [0, 1]]))
 
 
 def test_convolve_sets_dimension_mismatch():
@@ -147,7 +170,7 @@ def test_convolve_row_semantics_exhaustively():
                 [(bbits >> 2) & 1, (bbits >> 3) & 1],
             ]
             B = M(rows)
-            got = stm_convolve(R, B)
+            got = convolve_one(R, B)
             for beta in range(2):
                 want = max(
                     min(R.entry(0, h), B.entry(h, beta)) for h in range(2)
@@ -244,6 +267,20 @@ def test_qb2_series_closed_form():
         net = make_network(k + 1, [(i, i + 1, 0.9) for i in range(1, k + 1)])
         r, _ = reliability_qb2(net)
         assert r == pytest.approx(0.9**k, rel=1e-12)
+
+
+@pytest.mark.parametrize("k", [5, 40, 100])
+def test_qb2_exact_on_bridge_chain_above_the_cap(k):
+    # The 7-arc blocks meet at cut nodes, so the chain's reliability is
+    # the product of its blocks' enumerated reliabilities.
+    net = build(GeneratorSpec("bridge-chain", k, 0.9, seed=k))
+    assert net.arc_count == 7 * k > DEFAULT_ENUMERATION_CAP
+    probs = net.probabilities()
+    want = math.prod(
+        reliability_oracle(build_example(probs[7 * b : 7 * b + 7])) for b in range(k)
+    )
+    r, _ = reliability_qb2(net)
+    assert r == pytest.approx(want, rel=1e-10, abs=0)
 
 
 def test_qb2_single_node():
