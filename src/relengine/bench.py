@@ -13,7 +13,7 @@ from .network import Network
 BACKENDS = ("oracle", "qbat", "qb2")
 
 DEFAULT_BUDGET_S = 60.0
-DEFAULT_TOLERANCE = 1e-9
+DEFAULT_TOLERANCE = 1e-10
 
 
 @dataclass

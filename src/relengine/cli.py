@@ -2,7 +2,8 @@
 
 Subcommands: compute, crosscheck, bench, generate. Exit codes: 0 on
 success, 1 for parse or validation failures, 2 for bad usage (argparse,
-including a ``--budget`` that is not a positive number of seconds), 3
+including a ``--budget`` that is not a positive number of seconds or a
+``--tolerance`` that is not a number of at least 0), 3
 when a backend refuses to enumerate more than the fixed cap of 30 arcs
 (the oracle's whole network, or one qb2 stage), 4 when a crosscheck
 exceeds its tolerance, 5 when ``compute --budget SECONDS`` runs out of
@@ -55,6 +56,13 @@ def _positive_seconds(text: str) -> float:
     value = float(text)
     if not value > 0:
         raise argparse.ArgumentTypeError(f"budget must be positive, not {text}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not value >= 0:
+        raise argparse.ArgumentTypeError(f"tolerance must be at least 0, not {text}")
     return value
 
 
@@ -217,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cross.add_argument("file", nargs="?", default=None)
     _add_generator_arguments(cross, required=False)
-    cross.add_argument("--tolerance", type=float, default=bench.DEFAULT_TOLERANCE)
+    cross.add_argument("--tolerance", type=_tolerance, default=bench.DEFAULT_TOLERANCE)
     cross.set_defaults(handler=_cmd_crosscheck)
 
     bench_parser = sub.add_parser("bench", help="timing sweep over a family")

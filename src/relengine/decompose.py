@@ -138,9 +138,7 @@ def find_shortest_mcs(network: Network) -> Decomposition:
         # grown source can overlap them.
         if not sinks.isdisjoint(sep_sources):
             continue  # no cut can hold exactly this path arc; stages merge here
-        reached, cut = graphops.min_cut_partition(
-            network, adj, arc_id, pending, sinks, settled
-        )
+        reached, cut = graphops.min_cut_partition(adj, arc_id, pending, sinks, settled)
         settled.update(reached)
         found.append((i, arc_id, cut, sep_sources, len(joined), len(reached)))
         joined.extend(reached)

@@ -86,7 +86,6 @@ def shortest_path(
 
 
 def min_cut_partition(
-    network: Network,
     adj: Sequence[Sequence[tuple[int, int]]],
     pinned: int,
     sources: Iterable[int],
@@ -95,7 +94,7 @@ def min_cut_partition(
 ) -> tuple[tuple[int, ...], frozenset[int]]:
     """Fewest-arc cut separating `sources` and `settled` from `sinks`.
 
-    `adj` is `adjacency(network)`. Every arc counts one, except arc
+    `adj` is the network's `adjacency`. Every arc counts one, except arc
     `pinned`, which costs nothing to cut and which the search never
     crosses; an id of no arc, such as 0, pins nothing. The settled nodes
     are already known to sit on the source side, and every arc at a

@@ -7,22 +7,22 @@ probability tables split (``half_probability_tables``): a depth-first
 walk over the high arcs reaches each high leaf with the partition it
 induces on the interface (the low arcs' endpoints and the boundary
 nodes), and every high leaf with the same partition reuses one walk over
-the low arcs. Masses are still added per vector in integer order, the
-order a per-vector sweep (``stm_from_vector`` over ``range(2^g)``) would
-use, so the tables are bit-identical to that sweep. Folding consecutive
-stages is a boolean max-min matrix product, and because stage one has a
-single source node the accumulator is always one row, keeping every
-product linear in the boundary width. Folds pool by matrix bits too: the
-rows of each stage matrix are unpacked once per fold, and a product is
-the OR of the stage rows that the accumulator's bits select.
-``reliability_qb2`` runs on these plain ints and builds no matrix
+the low arcs, kept as one table from matrix bits to its leaves. Masses
+are still added per vector in integer order, the order a per-vector
+sweep (``stm_from_vector`` over ``range(2^g)``) would use, so the tables
+are bit-identical to that sweep. Folding consecutive stages is a boolean
+max-min matrix product. Stage one has a single source node, so the
+accumulator is always one row, as wide as the next stage has rows: a
+product is the OR of the stage rows that the accumulator's bits select,
+and the rows of each stage matrix are unpacked once per fold.
+``reliability_qb2`` works on these plain ints and builds no matrix
 objects; ``tabulate_stage`` and ``convolve_sets`` wrap the same cores
 and return ``WeightedStmSet`` views of their results.
 
 Each stage's and fold's work splits into structure and arithmetic. The
 structure (which leaf gives which matrix, which pair gives which
-product) depends only on a stage's local shape, or on a fold's two
-shapes and the bits of both tables in order; the arithmetic is the
+product) depends only on a stage's local shape, or on a fold's stage
+shape and the bits of both tables in order; the arithmetic is the
 probability sums. One ``reliability_qb2`` call keeps the structure in
 two local dicts keyed that way, so on a long chain of like stages each
 shape is walked and each fold planned once, and every stage and fold
@@ -230,28 +230,24 @@ def _walk(parent, size, arc_u, arc_v, lo, hi, nodes, targets=None) -> list:
     return outs
 
 
-def _low_half(key, low_u, low_v, shift, sources, targets, low) -> tuple[list, int]:
+def _low_half(key, low_u, low_v, shift, sources, targets, low) -> tuple[dict, int]:
     """The low half under one key, its leaves grouped by matrix.
 
     Read as a parent list over the interface, the key is already a
-    forest of its partition. Returns (runs, zeros): run r holds low
-    leaves r * _BUDGET_STRIDE onwards, at most _BUDGET_STRIDE of them,
-    and maps the bits of each matrix, in the order the matrices first
-    appear, to the low-table entries of its leaves in integer order;
-    zeros counts the leaves whose matrix is all zero.
+    forest of its partition. Returns (by_matrix, zeros): by_matrix maps
+    the bits of each matrix, in the order the matrices first appear, to
+    the low-table entries of its leaves in integer order; zeros counts
+    the leaves whose matrix is all zero.
     """
     size = [key.count(i) for i in range(len(key))]
     outs = _walk(list(key), size, low_u, low_v, 0, shift, sources, targets)
-    runs = []
-    for j, out in enumerate(outs):
-        if j & (_BUDGET_STRIDE - 1) == 0:
-            run: dict[int, list[float]] = {}
-            runs.append(run)
-        if out in run:
-            run[out].append(low[j])
+    by_matrix: dict[int, list[float]] = {}
+    for out, mass in zip(outs, low):
+        if out in by_matrix:
+            by_matrix[out].append(mass)
         else:
-            run[out] = [low[j]]
-    return runs, outs.count(0)
+            by_matrix[out] = [mass]
+    return by_matrix, outs.count(0)
 
 
 def tabulate_stage(
@@ -283,8 +279,9 @@ def _tabulate(
     induce on the interface, which is the low arcs' endpoints and the
     source and target nodes. The key fixes the matrix of every low
     completion j, so high leaves with equal keys share one inner walk over
-    the low arcs, grouped by matrix and kept in a per-stage memo of at
-    most _MEMO_LEAVES leaves (past it, a key's low half is walked again).
+    the low arcs, one table from matrix bits to its leaves (``_low_half``)
+    kept in a per-stage memo of at most _MEMO_LEAVES leaves (past it, a
+    key's low half is walked again).
     Each high leaf adds ``low[j] * high[hb]`` to its matrix for j in
     increasing order, so every pooled mass is the same sum, in the same
     order, as a per-vector sweep over ``range(2^g)``: entries, their
@@ -299,8 +296,9 @@ def _tabulate(
     redoes only the probability sums for the others. The all-zero matrix
     is dropped and its mass returned as the discarded mass. A budget is
     checked once per arc while the tables are built, then before leaf 0
-    and every _BUDGET_STRIDE leaves after it, in pooling order, whether
-    or not the shape was walked before.
+    and, in a keyed stage, at every high leaf whose first vector index is
+    a multiple of _BUDGET_STRIDE (every high leaf, once one spans that
+    many vectors), whether or not the shape or key was walked before.
     """
     g = len(stage.arc_ids)
     arcs = [network.arcs[arc_id - 1] for arc_id in stage.arc_ids]
@@ -349,16 +347,13 @@ def _tabulate(
                 if stored + (1 << shift) <= _MEMO_LEAVES:
                     memo[key] = half
                     stored += 1 << shift
-            runs, run_zeros = half
-            zeros += run_zeros
+            by_matrix, half_zeros = half
+            zeros += half_zeros
             h = high[hb]
-            for r, run in enumerate(runs):
-                if r and budget is not None:
-                    budget.check()
-                # one matrix's leaves of this run, added left to right in
-                # integer order; a new matrix starts from 0.0 + mass == mass
-                for out, lows in run.items():
-                    pooled[out] = reduce(add, map(mul, lows, repeat(h)), get(out, 0.0))
+            # one matrix's leaves, added left to right in integer order; a
+            # new matrix starts from 0.0 + mass == mass
+            for out, lows in by_matrix.items():
+                pooled[out] = reduce(add, map(mul, lows, repeat(h)), get(out, 0.0))
     discarded = pooled.pop(0, 0.0)
     if counters is not None:
         counters.multiplications += 1 << g
@@ -366,31 +361,30 @@ def _tabulate(
     return pooled, discarded
 
 
-def _fold(acc, acc_shape, stage, stage_shape, plans, counters=None) -> dict[int, float]:
-    """Fold one pooled stage into the pooled accumulator, both keyed by bits.
+def _fold(acc, stage, stage_shape, plans, counters=None) -> dict[int, float]:
+    """Fold one pooled stage into the pooled one-row accumulator, by bits.
 
-    ``acc`` and ``stage`` map matrix bits to mass, their shapes are (rows,
-    cols), and the result maps each nonzero product's bits to its mass.
-    Which pairs give which products depends only on the two shapes and
-    the bits of both tables in order, so ``plans`` maps that key to its
-    plan (``_fold_plan``) and a caller that passes one dict for many folds
+    ``acc`` and ``stage`` map matrix bits to mass, the stage's shape is
+    (rows, cols), and the accumulator is one row of ``rows`` entries; the
+    result maps each nonzero product's bits to its mass. Which pairs give
+    which products depends only on the stage's shape and the bits of both
+    tables in order, so ``plans`` maps that key to its plan
+    (``_fold_plan``) and a caller that passes one dict for many folds
     (``reliability_qb2`` does, for one solve) plans each key once. Every
     fold then visits the pairs accumulator-major in insertion order, skips
     zero products before any probability work and adds
     ``acc_mass * stage_mass`` to each nonzero product's bits: the sums,
     their order and the counters are those of a product-by-product fold.
-    Raises ValueError when the accumulator's width is not the stage's row
-    count.
     """
-    key = (acc_shape, stage_shape, tuple(acc), tuple(stage))
+    key = (stage_shape, tuple(acc), tuple(stage))
     plan = plans.get(key)
     if plan is None:
-        plan = plans[key] = _fold_plan(acc, acc_shape, stage, stage_shape)
-    products_by_row, zeros = plan
+        plan = plans[key] = _fold_plan(acc, stage, stage_shape)
+    products_by_acc, zeros = plan
     stage_masses = stage.values()
     pooled: dict[int, float] = {}
     get = pooled.get
-    for acc_mass, products in zip(acc.values(), products_by_row):
+    for acc_mass, products in zip(acc.values(), products_by_acc):
         for out, mass in zip(products, stage_masses):
             if out:
                 pooled[out] = get(out, 0.0) + acc_mass * mass
@@ -402,32 +396,21 @@ def _fold(acc, acc_shape, stage, stage_shape, plans, counters=None) -> dict[int,
     return pooled
 
 
-def _fold_plan(acc, acc_shape, stage, stage_shape) -> tuple[list, int]:
+def _fold_plan(acc, stage, stage_shape) -> tuple[list, int]:
     """Every product of a fold, by accumulator matrix, and the zero count.
 
-    Returns (products_by_row, zeros): entry i lists the bits of accumulator
+    Returns (products_by_acc, zeros): entry i lists the bits of accumulator
     matrix i's product with each stage matrix in insertion order, or is
     empty when every such product is zero. Each stage matrix's rows are
-    unpacked once; an accumulator row's product with a stage matrix is
-    the OR of the stage rows its bits select, taken for every stage matrix
-    at once. Several accumulator rows are read as one row against the
-    block-diagonal stage matrix.
+    unpacked once; the one-row accumulator's product with a stage matrix
+    is the OR of the stage rows its bits select, taken for every stage
+    matrix at once.
     """
-    acc_rows, acc_cols = acc_shape
     rows, cols = stage_shape
-    if acc_cols != rows:
-        raise ValueError(
-            f"cannot convolve {acc_rows}x{acc_cols} with {rows}x{cols}: "
-            "stage chain dimensions do not match"
-        )
     mask = (1 << cols) - 1
-    # stage_rows[r * rows + h]: row h of every stage matrix, at output row r
-    stage_rows = []
-    for r in range(acc_rows):
-        for h in range(rows):
-            shift = h * cols
-            stage_rows.append([(bits >> shift & mask) << r * cols for bits in stage])
-    products_by_row = []
+    # stage_rows[h]: row h of every stage matrix
+    stage_rows = [[bits >> h * cols & mask for bits in stage] for h in range(rows)]
+    products_by_acc = []
     zeros = 0
     for acc_bits in acc:
         products = None
@@ -435,13 +418,13 @@ def _fold_plan(acc, acc_shape, stage, stage_shape) -> tuple[list, int]:
             if acc_bits & 1:
                 products = rows_h if products is None else list(map(or_, products, rows_h))
             acc_bits >>= 1
-        if products is None:  # an all-zero accumulator row selects nothing
+        if products is None:  # the all-zero accumulator selects nothing
             zeros += len(stage)
             products = ()
         else:
             zeros += products.count(0)
-        products_by_row.append(products)
-    return products_by_row, zeros
+        products_by_acc.append(products)
+    return products_by_acc, zeros
 
 
 def convolve_sets(
@@ -449,22 +432,22 @@ def convolve_sets(
     stage_set: WeightedStmSet,
     counters: Counters | None = None,
 ) -> WeightedStmSet:
-    """Fold one stage into the accumulator (``_fold``).
+    """Fold one stage into the one-row accumulator (``_fold``).
 
     Every accumulator/stage pair is convolved; zero products are dropped
     before any probability work, and equal results pool their mass by
     matrix bits. The stage's rows are unpacked once per fold, not once
-    per product.
+    per product. Raises ValueError unless the accumulator is one row as
+    wide as the stage has rows.
     """
-    pooled = _fold(
-        acc.pooled,
-        (acc.rows, acc.cols),
-        stage_set.pooled,
-        (stage_set.rows, stage_set.cols),
-        {},
-        counters,
-    )
-    return WeightedStmSet(acc.rows, stage_set.cols, pooled)
+    shape = (stage_set.rows, stage_set.cols)
+    if (acc.rows, acc.cols) != (1, stage_set.rows):
+        raise ValueError(
+            f"cannot convolve {acc.rows}x{acc.cols} with {shape[0]}x{shape[1]}: "
+            "the accumulator must be one row as wide as the stage has rows"
+        )
+    pooled = _fold(acc.pooled, stage_set.pooled, shape, {}, counters)
+    return WeightedStmSet(1, stage_set.cols, pooled)
 
 
 def reliability_qb2(
@@ -481,7 +464,7 @@ def reliability_qb2(
     local to this call, so like stages and like folds share them and
     only redo their probability sums.
     Summation order is fixed (stage order, enumeration order within a
-    stage, insertion order in folds) so repeated runs are bit-identical.
+    stage, insertion order in folds) so repeated solves are bit-identical.
     A stage wider than DEFAULT_ENUMERATION_CAP arcs raises
     EnumerationCapExceeded before any table is built.
     """
@@ -505,15 +488,15 @@ def reliability_qb2(
         pooled, _ = _tabulate(network, stage, budget, counters, walks)
         counters.stage_stm_counts.append(len(pooled))
         tables.append(pooled)
+    # stage 1 has one source, so the accumulator is one row, and stage s's
+    # targets are stage s+1's sources, so its width is the next stage's rows
     acc = tables[0]
-    acc_shape = (len(stages[0].source_nodes), len(stages[0].target_nodes))
     plans: dict = {}
     for stage, pooled in zip(stages[1:], tables[1:]):
         if budget is not None:
             budget.check()
         shape = (len(stage.source_nodes), len(stage.target_nodes))
-        acc = _fold(acc, acc_shape, pooled, shape, plans, counters)
-        acc_shape = (acc_shape[0], shape[1])
+        acc = _fold(acc, pooled, shape, plans, counters)
         counters.fold_stm_counts.append(len(acc))
     total = 0.0
     for mass in acc.values():

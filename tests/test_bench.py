@@ -8,6 +8,7 @@ import pytest
 from relengine.bat import EnumerationCapExceeded
 from relengine.bench import (
     BACKENDS,
+    RunResult,
     bench_sweep,
     crosscheck,
     run_backend,
@@ -84,6 +85,18 @@ def test_crosscheck_fails_with_zero_tolerance(example_uniform):
     report = crosscheck(example_uniform, tolerance=0.0)
     assert report.max_delta >= 0
     # the backends agree to ~1e-16 but not to exactly zero here
+    assert not report.passed
+
+
+def test_crosscheck_default_tolerance_is_1e_10(monkeypatch, example_uniform):
+    # a spread of 5e-10 is inside 1e-9 but outside the 1e-10 contract
+    answers = iter([0.5, 0.5 + 5e-10, 0.5])
+    monkeypatch.setattr(
+        "relengine.bench.run_backend",
+        lambda network, backend: RunResult(backend, "ok", next(answers), 0.0),
+    )
+    report = crosscheck(example_uniform)
+    assert report.tolerance == 1e-10
     assert not report.passed
 
 

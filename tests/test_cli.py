@@ -261,6 +261,13 @@ def test_crosscheck_zero_tolerance_fails(example_file, capsys):
     assert "FAIL" in out
 
 
+@pytest.mark.parametrize("tolerance", ["nan", "-1"])
+def test_crosscheck_rejects_bad_tolerance(example_file, tolerance):
+    with pytest.raises(SystemExit) as err:
+        main(["crosscheck", example_file, "--tolerance", tolerance])
+    assert err.value.code == 2
+
+
 def test_crosscheck_generator_mode(capsys):
     code, out, _ = run_cli(
         ["crosscheck", "--family", "ladder", "--k", "3", "--p", "0.9"], capsys

@@ -109,9 +109,7 @@ def cut_chain_from_scratch(net, path):
         sinks = set(nodes[i:]) | {net.sink}
         if sources & sinks:
             continue
-        reached, cut = graphops.min_cut_partition(
-            net, adj, arc_id, sources, sinks, frozenset()
-        )
+        reached, cut = graphops.min_cut_partition(adj, arc_id, sources, sinks, frozenset())
         cuts.append((i, arc_id, cut, frozenset(reached), grown))
         side = frozenset(reached)
         ends = {v for c in cut for v in (net.arcs[c - 1].u, net.arcs[c - 1].v)}
@@ -151,13 +149,13 @@ def test_cut_search_starts_with_settled_nodes_closed(monkeypatch):
     search = graphops.min_cut_partition
     settled_sizes = []
 
-    def checked(network, adj, pinned, sources, sinks, settled):
+    def checked(adj, pinned, sources, sinks, settled):
         closed = set(settled) | set(sources)
         for node in settled:
             for arc_id, other in adj[node]:
                 assert other in closed, (node, arc_id, other)
         settled_sizes.append(len(settled))
-        return search(network, adj, pinned, sources, sinks, settled)
+        return search(adj, pinned, sources, sinks, settled)
 
     monkeypatch.setattr(graphops, "min_cut_partition", checked)
     nets = [

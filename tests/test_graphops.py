@@ -16,9 +16,7 @@ from relengine.generators import GeneratorSpec, build, random_network
 
 def from_scratch(net, sources, sinks, pinned=0):
     """(source side, cut arcs) of a cut searched with nothing settled."""
-    side, cut = min_cut_partition(
-        net, adjacency(net), pinned, sources, sinks, frozenset()
-    )
+    side, cut = min_cut_partition(adjacency(net), pinned, sources, sinks, frozenset())
     return frozenset(side), cut
 
 
@@ -190,7 +188,7 @@ def test_min_cut_partition_with_settled_nodes(example_uniform):
     # The example's second cut: node 1 is settled, its cut {1, 2} ends in
     # the grown sources 2 and 3, and arc 6 is pinned.
     adj = RecordingRows(adjacency(example_uniform))
-    reached, cut = min_cut_partition(example_uniform, adj, 6, {2, 3}, {5}, {1})
+    reached, cut = min_cut_partition(adj, 6, {2, 3}, {5}, {1})
     assert sorted(reached) == [2, 3, 4]
     assert cut == {6, 7}
     assert 1 not in adj.read
@@ -198,7 +196,7 @@ def test_min_cut_partition_with_settled_nodes(example_uniform):
         example_uniform, {1, 2, 3}, {5}, pinned=6
     )
     with pytest.raises(ValueError, match="settled"):
-        min_cut_partition(example_uniform, adj, 6, {1, 2}, {5}, {1})
+        min_cut_partition(adj, 6, {1, 2}, {5}, {1})
 
 
 def test_settled_search_matches_from_scratch_on_random_networks():
@@ -218,7 +216,7 @@ def test_settled_search_matches_from_scratch_on_random_networks():
             continue  # a settled node would touch the sink
         pinned = rng.randint(1, net.arc_count)
         adj = RecordingRows(adjacency(net))
-        reached, got = min_cut_partition(net, adj, pinned, grown, {net.sink}, side)
+        reached, got = min_cut_partition(adj, pinned, grown, {net.sink}, side)
         assert not side & set(reached)
         assert not side & set(adj.read)
         assert (side | set(reached), got) == from_scratch(

@@ -151,6 +151,9 @@ def test_convolve_examples():
 def test_convolve_dimension_mismatch():
     with pytest.raises(ValueError, match="2x3 with 2x2"):
         convolve_one(M([[1, 0, 1], [0, 1, 0]]), M([[1, 0], [0, 1]]))
+    # widths match, but the accumulator is not one row
+    with pytest.raises(ValueError, match="2x2 with 2x2"):
+        convolve_one(M([[1, 0], [0, 1]]), M([[1, 0], [0, 1]]))
 
 
 def test_convolve_sets_dimension_mismatch():
@@ -439,9 +442,9 @@ def test_qb2_walks_each_stage_shape_and_plans_each_fold_once(
         walks.append(args)
         return walk(*args)
 
-    def counting_plan(acc, acc_shape, stage, stage_shape):
-        plans.append((acc_shape, stage_shape, tuple(acc), tuple(stage)))
-        return fold_plan(acc, acc_shape, stage, stage_shape)
+    def counting_plan(acc, stage, stage_shape):
+        plans.append((stage_shape, tuple(acc), tuple(stage)))
+        return fold_plan(acc, stage, stage_shape)
 
     monkeypatch.setattr("relengine.stm._walk", counting_walk)
     monkeypatch.setattr("relengine.stm._fold_plan", counting_plan)
@@ -571,7 +574,7 @@ def test_tabulation_checks_budget_before_walking_a_wide_stage(monkeypatch):
         with pytest.raises(BudgetExceeded):
             tabulate_stage(net, stage, budget)
         assert budget.calls == tables + 1
-    # with shift 15, the next check comes 4096 leaves into high leaf 0
+    # with shift 15, the next check comes at high leaf 1
     budget = CountingBudget(tables + 2)
     with pytest.raises(BudgetExceeded):
         tabulate_stage(net, stage, budget)
@@ -579,14 +582,15 @@ def test_tabulation_checks_budget_before_walking_a_wide_stage(monkeypatch):
 
 
 def test_tabulation_checks_budget_within_a_high_leaf(monkeypatch):
-    # a stride below 2^shift puts several checks inside each high leaf,
-    # as _BUDGET_STRIDE does for stages of 26 arcs and more
+    # a stride below 2^shift puts a check at every high leaf, as
+    # _BUDGET_STRIDE does for stages of 26 arcs and more: 16 arcs split
+    # at shift 8 give 2^8 high leaves
     monkeypatch.setattr("relengine.stm._BUDGET_STRIDE", 16)
     net = random_network(random.Random(1), (6, 9), (16, 16))
     (stage,) = decompose(net).stages
     budget = CountingBudget()
     tabulate_stage(net, stage, budget)
-    assert budget.calls == 16 + (1 << 16) // 16
+    assert budget.calls == 16 + (1 << 8)
 
 
 @pytest.mark.parametrize("family, k, checks", [("series", 12, 47), ("ladder", 4, 31)])
