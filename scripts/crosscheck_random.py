@@ -20,15 +20,16 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from relengine.bench import DEFAULT_TOLERANCE, crosscheck
+from relengine.cli import _tolerance
 from relengine.generators import random_network
-from relengine.network import format_network
+from relengine.network import NetworkError, format_network
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--count", type=int, default=500)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
+    parser.add_argument("--tolerance", type=_tolerance, default=DEFAULT_TOLERANCE)
     parser.add_argument("--min-nodes", type=int, default=4)
     parser.add_argument("--max-nodes", type=int, default=8)
     parser.add_argument("--min-arcs", type=int, default=5)
@@ -39,11 +40,14 @@ def main() -> int:
     worst = 0.0
     start = time.perf_counter()
     for index in range(args.count):
-        net = random_network(
-            rng,
-            node_range=(args.min_nodes, args.max_nodes),
-            arc_range=(args.min_arcs, args.max_arcs),
-        )
+        try:
+            net = random_network(
+                rng,
+                node_range=(args.min_nodes, args.max_nodes),
+                arc_range=(args.min_arcs, args.max_arcs),
+            )
+        except (ValueError, NetworkError) as exc:
+            parser.error(str(exc))
         report = crosscheck(net, tolerance=args.tolerance)
         worst = max(worst, report.max_delta)
         if not report.passed:

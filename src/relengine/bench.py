@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 
 from . import bat, quickbat, stm
 from .budget import Budget, BudgetExceeded
@@ -22,39 +22,35 @@ class RunResult:
     status: str  # ok | timeout | skipped
     reliability: float | None
     wall_time_s: float
-    counters: dict | None = None
+    counters: stm.Counters | quickbat.QuickBatStats | None = None
     detail: str = ""
 
 
 def run_backend(
-    network: Network,
-    backend: str,
-    budget_s: float | None = None,
-    with_counters: bool = False,
+    network: Network, backend: str, budget_s: float | None = None
 ) -> RunResult:
     """Run one backend under an optional wall-clock budget.
 
     A blown budget is reported as status ``timeout`` and a refused
     enumeration (more arcs than ``bat.DEFAULT_ENUMERATION_CAP`` in the
     oracle's network or in one qb2 stage) as ``skipped``; neither raises.
+    On status ``ok``, ``counters`` is the object the backend filled while
+    it ran: qb2's ``stm.Counters``, qbat's ``quickbat.QuickBatStats``, or
+    None for the oracle, which keeps none. Both have ``as_dict()``.
     """
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
     budget = Budget(budget_s) if budget_s is not None else None
-    counters: dict | None = None
+    counters = None
     start = time.perf_counter()
     try:
         if backend == "oracle":
             value = bat.reliability_oracle(network, budget=budget)
         elif backend == "qbat":
-            stats = quickbat.QuickBatStats()
-            value = quickbat.reliability_quick_bat(network, budget=budget, stats=stats)
-            if with_counters:
-                counters = asdict(stats)
+            counters = quickbat.QuickBatStats()
+            value = quickbat.reliability_quick_bat(network, budget=budget, stats=counters)
         else:
-            value, qb2_counters = stm.reliability_qb2(network, budget=budget)
-            if with_counters:
-                counters = qb2_counters.as_dict()
+            value, counters = stm.reliability_qb2(network, budget=budget)
     except bat.EnumerationCapExceeded as exc:
         return RunResult(
             backend, "skipped", None, time.perf_counter() - start, detail=str(exc)
@@ -91,28 +87,6 @@ def crosscheck(
     return CrosscheckReport(results, max_delta, tolerance, passed)
 
 
-@dataclass
-class BenchRow:
-    family: str
-    k: int
-    node_count: int
-    arc_count: int
-    result: RunResult = field(repr=False)
-
-    def as_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "k": self.k,
-            "nodes": self.node_count,
-            "arcs": self.arc_count,
-            "backend": self.result.backend,
-            "status": self.result.status,
-            "reliability": self.result.reliability,
-            "wall_time_s": self.result.wall_time_s,
-            "detail": self.result.detail,
-        }
-
-
 def bench_sweep(
     family: str,
     k_min: int,
@@ -121,8 +95,12 @@ def bench_sweep(
     backends: tuple[str, ...],
     budget_s: float = DEFAULT_BUDGET_S,
     seed: int | None = None,
-) -> list[BenchRow]:
+) -> list[dict]:
     """One row per (instance, backend), in sweep order.
+
+    Each row is a dict with keys ``family``, ``k``, ``nodes``, ``arcs``,
+    ``backend``, ``status``, ``reliability``, ``wall_time_s`` and
+    ``detail``, in that order; the CLI prints its columns in it.
 
     Each backend run gets its own fresh budget so a timeout on one
     instance cannot starve the rest of the sweep.
@@ -132,7 +110,15 @@ def bench_sweep(
         network = build(GeneratorSpec(family, k, p, seed))
         for backend in backends:
             result = run_backend(network, backend, budget_s=budget_s)
-            rows.append(
-                BenchRow(family, k, network.node_count, network.arc_count, result)
-            )
+            rows.append({
+                "family": family,
+                "k": k,
+                "nodes": network.node_count,
+                "arcs": network.arc_count,
+                "backend": result.backend,
+                "status": result.status,
+                "reliability": result.reliability,
+                "wall_time_s": result.wall_time_s,
+                "detail": result.detail,
+            })
     return rows

@@ -52,6 +52,15 @@ def _load_network(path: str):
         return None
 
 
+def _build_network(args):
+    try:
+        spec = generators.GeneratorSpec(args.family, args.k, args.p, args.seed)
+        return generators.build(spec)
+    except (ValueError, NetworkError) as exc:
+        print(f"relengine: {exc}", file=sys.stderr)
+        return None
+
+
 def _positive_seconds(text: str) -> float:
     value = float(text)
     if not value > 0:
@@ -66,10 +75,6 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _spec_from_args(args) -> generators.GeneratorSpec:
-    return generators.GeneratorSpec(args.family, args.k, args.p, args.seed)
-
-
 def _cmd_compute(args) -> int:
     network = _load_network(args.file)
     if network is None:
@@ -77,12 +82,11 @@ def _cmd_compute(args) -> int:
     if args.explain_decomposition:
         print(explain_decomposition(network))
         return EXIT_OK
-    result = bench.run_backend(
-        network, args.backend, budget_s=args.budget, with_counters=args.counters
-    )
+    result = bench.run_backend(network, args.backend, budget_s=args.budget)
     if result.status != "ok":
         print(f"relengine: {result.detail}", file=sys.stderr)
         return EXIT_CAP if result.status == "skipped" else EXIT_BUDGET
+    counters = result.counters.as_dict() if result.counters is not None else None
     if args.json:
         payload = {
             "reliability": result.reliability,
@@ -92,14 +96,14 @@ def _cmd_compute(args) -> int:
             "network_digest": network_digest(network),
         }
         if args.counters:
-            payload["counters"] = result.counters
+            payload["counters"] = counters
         print(json.dumps(payload))
         return EXIT_OK
     print(format_reliability(result.reliability))
     if args.counters:
-        if result.counters:
-            width = max(len(name) for name in result.counters)
-            for name, value in result.counters.items():
+        if counters:
+            width = max(len(name) for name in counters)
+            for name, value in counters.items():
                 print(f"{name:<{width}}  {value}")
         else:
             print(f"(no counters for backend {result.backend})")
@@ -111,14 +115,10 @@ def _cmd_compute(args) -> int:
 def _cmd_crosscheck(args) -> int:
     if args.file is not None:
         network = _load_network(args.file)
-        if network is None:
-            return EXIT_INVALID_INPUT
     else:
-        try:
-            network = generators.build(_spec_from_args(args))
-        except ValueError as exc:
-            print(f"relengine: {exc}", file=sys.stderr)
-            return EXIT_INVALID_INPUT
+        network = _build_network(args)
+    if network is None:
+        return EXIT_INVALID_INPUT
     try:
         report = bench.crosscheck(network, tolerance=args.tolerance)
     except bat.EnumerationCapExceeded as exc:
@@ -129,12 +129,6 @@ def _cmd_crosscheck(args) -> int:
     verdict = "PASS" if report.passed else "FAIL"
     print(f"max delta {report.max_delta:.3e} (tolerance {report.tolerance:.3e}) {verdict}")
     return EXIT_OK if report.passed else EXIT_MISMATCH
-
-
-_BENCH_FIELDS = (
-    "family", "k", "nodes", "arcs", "backend", "status", "reliability",
-    "wall_time_s", "detail",
-)
 
 
 def _cmd_bench(args) -> int:
@@ -154,38 +148,36 @@ def _cmd_bench(args) -> int:
     except (ValueError, NetworkError) as exc:
         print(f"relengine: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
-    dicts = [row.as_dict() for row in rows]
-    for row in dicts:
+    fields = list(rows[0])  # bench_sweep's keys, in column order
+    for row in rows:
         if row["reliability"] is not None:
             row["reliability"] = format_reliability(row["reliability"])
         row["wall_time_s"] = f"{row['wall_time_s']:.6f}"
     if args.json:
-        print(json.dumps(dicts))
+        print(json.dumps(rows))
     elif args.csv:
-        writer = csv.DictWriter(sys.stdout, fieldnames=_BENCH_FIELDS)
+        writer = csv.DictWriter(sys.stdout, fieldnames=fields)
         writer.writeheader()
-        writer.writerows(dicts)
+        writer.writerows(rows)
     else:
         widths = {
-            name: max(len(name), *(len(str(row[name] or "")) for row in dicts))
-            for name in _BENCH_FIELDS
+            name: max(len(name), *(len(str(row[name] or "")) for row in rows))
+            for name in fields
         }
-        print("  ".join(name.ljust(widths[name]) for name in _BENCH_FIELDS))
-        for row in dicts:
+        print("  ".join(name.ljust(widths[name]) for name in fields))
+        for row in rows:
             print(
                 "  ".join(
                     str(row[name] if row[name] is not None else "-").ljust(widths[name])
-                    for name in _BENCH_FIELDS
+                    for name in fields
                 )
             )
     return EXIT_OK
 
 
 def _cmd_generate(args) -> int:
-    try:
-        network = generators.build(_spec_from_args(args))
-    except ValueError as exc:
-        print(f"relengine: {exc}", file=sys.stderr)
+    network = _build_network(args)
+    if network is None:
         return EXIT_INVALID_INPUT
     seed_note = "" if args.seed is None else f" seed={args.seed}"
     comment = f"family={args.family} k={args.k} p={args.p!r}{seed_note}"

@@ -107,12 +107,23 @@ def random_network(
 
     Draws a node count, spans the nodes with a random tree, then tops up
     with distinct extra arcs to the drawn arc count. Arc order is
-    shuffled so enumeration order is exercised too.
+    shuffled so enumeration order is exercised too. Raises ValueError,
+    without drawing from ``rng``, when no node count in ``node_range``
+    admits an arc count in ``arc_range``.
     """
+
+    def arc_bounds(n: int) -> tuple[int, int]:
+        return max(arc_range[0], n - 1), min(arc_range[1], n * (n - 1) // 2)
+
+    # more than arc_range[1] + 1 nodes cannot be spanned by arc_range[1] arcs
+    counts = range(node_range[0], min(node_range[1], arc_range[1] + 1) + 1)
+    if not any(low <= high for low, high in map(arc_bounds, counts)):
+        raise ValueError(
+            f"no node count in {node_range} admits an arc count in {arc_range}"
+        )
     while True:
         n = rng.randint(*node_range)
-        low = max(arc_range[0], n - 1)
-        high = min(arc_range[1], n * (n - 1) // 2)
+        low, high = arc_bounds(n)
         if low <= high:
             break
     m = rng.randint(low, high)

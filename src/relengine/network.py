@@ -115,7 +115,8 @@ def make_network(node_count: int, arc_triples) -> Network:
             )
         arcs.append(Arc(idx, u, v, p))
     arcs = tuple(arcs)
-    if not _connected_with_all_arcs(node_count, arcs):
+    # too few arcs to span: refuse before sizing a union-find by node_count
+    if len(arcs) < node_count - 1 or not _connected_with_all_arcs(node_count, arcs):
         raise NetworkInvariantError(
             "disconnected", "graph is disconnected even with every arc functioning"
         )

@@ -14,6 +14,9 @@ completion connected.
 The walk is one loop over an explicit stack of prefix frames, so the
 recursion limit does not bound the arc count. Popping a frame rolls the
 undo-trail union-find back to the trail length it was pushed with.
+
+This backend is kept as the quick-BAT baseline that the paper compares
+QB-II against, whether or not it wins a benchmark row.
 """
 
 from __future__ import annotations
@@ -40,6 +43,9 @@ class QuickBatStats:
     connectivity_checks: int = 0
     multiplications: int = 0
     summations: int = 0
+
+    def as_dict(self) -> dict:
+        return dict(vars(self))
 
 
 def first_connected(network: Network) -> int:

@@ -28,7 +28,7 @@ def test_run_backend_ok(example_uniform, backend):
     assert result.backend == backend
     assert result.reliability == pytest.approx(0.9781803, abs=1e-12)
     assert result.wall_time_s >= 0
-    assert result.counters is None
+    assert (result.counters is None) == (backend == "oracle")
     assert result.detail == ""
 
 
@@ -38,18 +38,18 @@ def test_run_backend_rejects_unknown_name(example_uniform):
 
 
 def test_run_backend_reports_counters(example_uniform):
-    qb2 = run_backend(example_uniform, "qb2", with_counters=True)
-    assert qb2.counters["stage_stm_counts"] == [3, 5, 3]
-    assert qb2.counters["total_aggregated"] == 15
-    qbat = run_backend(example_uniform, "qbat", with_counters=True)
-    assert set(qbat.counters) == {
-        "super_vectors",
-        "connectivity_checks",
-        "multiplications",
-        "summations",
+    qb2 = run_backend(example_uniform, "qb2").counters.as_dict()
+    assert qb2["stage_stm_counts"] == [3, 5, 3]
+    assert qb2["total_aggregated"] == 15
+    qbat = run_backend(example_uniform, "qbat").counters
+    assert qbat.as_dict() == {
+        "super_vectors": qbat.super_vectors,
+        "connectivity_checks": qbat.connectivity_checks,
+        "multiplications": qbat.multiplications,
+        "summations": qbat.summations,
     }
-    oracle = run_backend(example_uniform, "oracle", with_counters=True)
-    assert oracle.counters is None
+    assert qbat.connectivity_checks > 0
+    assert run_backend(example_uniform, "oracle").counters is None
 
 
 def test_run_backend_skips_above_cap():
@@ -116,7 +116,7 @@ def test_crosscheck_on_degenerate_probabilities():
 def test_bench_sweep_shapes_and_statuses():
     rows = bench_sweep("series", 1, 3, 0.9, ("oracle", "qb2"), budget_s=30.0)
     assert len(rows) == 6
-    assert [(r.family, r.k, r.result.backend) for r in rows] == [
+    assert [(r["family"], r["k"], r["backend"]) for r in rows] == [
         ("series", 1, "oracle"),
         ("series", 1, "qb2"),
         ("series", 2, "oracle"),
@@ -125,18 +125,21 @@ def test_bench_sweep_shapes_and_statuses():
         ("series", 3, "qb2"),
     ]
     for row in rows:
-        assert row.result.status == "ok"
-        assert row.result.reliability == pytest.approx(0.9**row.k, rel=1e-12)
-        d = row.as_dict()
-        assert d["nodes"] == row.k + 1
-        assert d["arcs"] == row.k
+        assert list(row) == [
+            "family", "k", "nodes", "arcs", "backend", "status", "reliability",
+            "wall_time_s", "detail",
+        ]
+        assert row["status"] == "ok"
+        assert row["reliability"] == pytest.approx(0.9 ** row["k"], rel=1e-12)
+        assert row["nodes"] == row["k"] + 1
+        assert row["arcs"] == row["k"]
 
 
 def test_bench_sweep_mixes_timeout_skip_and_ok():
     rows = bench_sweep(
         "bridge-chain", 4, 5, 0.9, ("oracle", "qb2"), budget_s=0.05
     )
-    by = {(r.k, r.result.backend): r.result.status for r in rows}
+    by = {(r["k"], r["backend"]): r["status"] for r in rows}
     assert by[(4, "oracle")] == "timeout"  # 28 arcs, under the cap, too slow
     assert by[(5, "oracle")] == "skipped"  # 35 arcs, over the cap
     assert by[(4, "qb2")] == "ok"
@@ -146,21 +149,43 @@ def test_bench_sweep_mixes_timeout_skip_and_ok():
 def test_bench_sweep_seed_controls_probabilities():
     fixed = bench_sweep("ladder", 2, 2, 0.5, ("qb2",), seed=3)
     again = bench_sweep("ladder", 2, 2, 0.5, ("qb2",), seed=3)
-    assert fixed[0].result.reliability == again[0].result.reliability
+    assert fixed[0]["reliability"] == again[0]["reliability"]
     uniform = bench_sweep("ladder", 2, 2, 0.5, ("qb2",))
-    assert uniform[0].result.reliability != fixed[0].result.reliability
+    assert uniform[0]["reliability"] != fixed[0]["reliability"]
 
 
-def test_crosscheck_script_runs_from_a_plain_checkout():
+def run_crosscheck_script(*args):
     # no PYTHONPATH: the script finds relengine under src by itself
     root = Path(__file__).resolve().parent.parent
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    done = subprocess.run(
-        [sys.executable, "scripts/crosscheck_random.py", "--count", "5", "--seed", "7"],
+    return subprocess.run(
+        [sys.executable, "scripts/crosscheck_random.py", *args],
         cwd=root,
         capture_output=True,
         text=True,
         env=env,
+        timeout=60,
     )
+
+
+def test_crosscheck_script_runs_from_a_plain_checkout():
+    done = run_crosscheck_script("--count", "5", "--seed", "7")
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("5 networks agree: worst spread ")
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("--tolerance", "nan"), "tolerance must be at least 0"),
+        (("--tolerance", "-1"), "tolerance must be at least 0"),
+        (("--max-arcs", "2"), "admits an arc count"),  # no network fits
+        (("--min-nodes", "0", "--max-nodes", "0", "--min-arcs", "0"), "at least 1"),
+    ],
+    ids=["tolerance-nan", "tolerance-negative", "no-network-fits", "no-nodes"],
+)
+def test_crosscheck_script_rejects_bad_arguments(args, message):
+    done = run_crosscheck_script("--count", "3", "--seed", "7", *args)
+    assert done.returncode == 2
+    assert message in done.stderr
+    assert done.stdout == ""

@@ -197,6 +197,16 @@ def test_compute_reports_syntax_line(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_compute_rejects_huge_node_count(tmp_path, capsys):
+    # refused as disconnected before any per-node table is sized
+    path = tmp_path / "huge.net"
+    path.write_text("nodes 100000000000000000000\narc 1 2 0.5\n")
+    code, out, err = run_cli(["compute", str(path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert "disconnected" in err
+
+
 def test_compute_missing_file(capsys):
     code, _, err = run_cli(["compute", "/nonexistent/x.net"], capsys)
     assert code == 1
@@ -400,6 +410,17 @@ def test_generate_rejects_bad_size(capsys):
     )
     assert code == 1
     assert "at least 1" in err
+
+
+@pytest.mark.parametrize("command", ["generate", "crosscheck"])
+@pytest.mark.parametrize("p", ["1.5", "nan"])
+def test_generator_commands_reject_bad_probability(capsys, command, p):
+    code, out, err = run_cli(
+        [command, "--family", "series", "--k", "2", "--p", p], capsys
+    )
+    assert code == 1
+    assert out == ""
+    assert err == f"relengine: arc 1 probability {p} outside [0, 1]\n"
 
 
 def test_parser_lists_all_subcommands():

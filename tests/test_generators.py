@@ -96,6 +96,20 @@ def test_random_network_respects_ranges():
         assert all(0.05 <= a.p <= 0.95 for a in net.arcs)
 
 
+class NoDraws(random.Random):
+    def random(self):
+        raise AssertionError("drew from rng")
+
+    def getrandbits(self, k):
+        raise AssertionError("drew from rng")
+
+
+def test_random_network_refuses_ranges_no_network_fits():
+    # 4..8 nodes need at least 3 arcs; the refusal draws nothing from rng
+    with pytest.raises(ValueError, match="admits an arc count"):
+        random_network(NoDraws(), node_range=(4, 8), arc_range=(1, 2))
+
+
 def test_random_network_is_reproducible_from_the_seed():
     first = [network_digest(random_network(random.Random(5))) for _ in range(5)]
     second = [network_digest(random_network(random.Random(5))) for _ in range(5)]

@@ -49,6 +49,8 @@ def test_single_node_network_has_no_arcs():
         (3, [(1, 2, math.nan), (2, 3, 0.5)], "probability"),
         (4, [(1, 2, 0.5), (3, 4, 0.5)], "disconnected"),
         (2, [], "disconnected"),
+        (10**20, [(1, 2, 0.5)], "disconnected"),
+        (10**20, [(1, 2, 1.5)], "probability"),
     ],
 )
 def test_make_network_rejects(node_count, triples, kind):
