@@ -1,0 +1,133 @@
+#!/usr/bin/env python3
+"""Time two checkouts of relengine against each other in one process.
+
+PARENT and CHANGE are repository roots. Each one's ``src/relengine`` is
+copied to a temporary directory under its own package name
+(``relengine_parent`` and ``relengine_change``), so both load side by
+side and share one interpreter, one heap and one machine state. The
+workload's network texts come from this repository's
+``perfbench.workloads``, and each side parses them with its own parser.
+
+Both sides first solve every instance of the workload that lists the
+backend, once, through ``run_backend``. If any status, answer
+(compared by ``float.hex``) or ``counters.as_dict()`` differs, the first
+difference is printed and the script exits 1. Otherwise it times
+``--rounds`` passes of the workload per side, alternating which side runs
+first, and prints each side's median and quartiles in seconds per pass,
+the change/parent ratio of the medians and how many rounds the change won:
+
+    python3 scripts/ab_inprocess.py ../parent . --workload grid --backend qb2
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import shutil
+import statistics
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+# perfbench is read from this checkout, never written
+sys.path.insert(0, str(ROOT))
+
+from perfbench import workloads  # noqa: E402
+from perfbench.measure import BACKENDS  # noqa: E402
+
+SIDES = ("parent", "change")
+
+
+def load(root: Path, name: str, into: Path):
+    """Import ``root/src/relengine`` as the package ``name``."""
+    shutil.copytree(
+        root / "src" / "relengine", into / name,
+        ignore=shutil.ignore_patterns("__pycache__"),
+    )
+    return importlib.import_module(name)
+
+
+def outcome(program, network, backend: str) -> tuple:
+    result = program.run_backend(network, backend)
+    value = result.reliability
+    counters = result.counters
+    return (
+        result.status,
+        None if value is None else value.hex(),
+        None if counters is None else counters.as_dict(),
+    )
+
+
+def timed_pass(program, networks, backend: str) -> float:
+    start = time.perf_counter()
+    for network in networks:
+        program.run_backend(network, backend)
+    return time.perf_counter() - start
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--workload", choices=workloads.WORKLOADS, required=True)
+    parser.add_argument("--backend", choices=BACKENDS, required=True)
+    parser.add_argument("--rounds", type=int, default=20)
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args(argv)
+    if args.rounds < 2:
+        parser.error("--rounds must be at least 2")
+    roots = {"parent": args.parent, "change": args.change}
+    for side, root in roots.items():
+        if not (root / "src" / "relengine" / "__init__.py").is_file():
+            parser.error(f"{side} {root} has no src/relengine package")
+
+    instances = [
+        inst for inst in workloads.build(args.workload, args.seed)
+        if args.backend in inst.backends
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        sys.path.insert(0, tmp)
+        programs = {
+            side: load(root, f"relengine_{side}", Path(tmp)) for side, root in roots.items()
+        }
+        return compare(programs, instances, args)
+
+
+def compare(programs: dict, instances: list, args) -> int:
+    networks = {
+        side: [program.parse_network(inst.text) for inst in instances]
+        for side, program in programs.items()
+    }
+    for i, inst in enumerate(instances):
+        seen = {
+            side: outcome(programs[side], networks[side][i], args.backend)
+            for side in SIDES
+        }
+        if seen["parent"] != seen["change"]:
+            print(f"{inst.label} ({args.backend}) differs:")
+            for side in SIDES:
+                print(f"  {side:<6} {seen[side]}")
+            return 1
+    print(
+        f"{args.workload} seed {args.seed}, {args.backend}: {len(instances)} "
+        "instances agree (answers and counters)"
+    )
+
+    times: dict[str, list[float]] = {side: [] for side in SIDES}
+    for r in range(args.rounds):
+        for side in SIDES if r % 2 == 0 else SIDES[::-1]:
+            times[side].append(timed_pass(programs[side], networks[side], args.backend))
+    stats = {side: statistics.quantiles(times[side], n=4) for side in SIDES}
+    for side in SIDES:
+        q1, median, q3 = stats[side]
+        print(f"{side:<6} median {median:.6f} s  q1 {q1:.6f}  q3 {q3:.6f}")
+    wins = sum(c < p for p, c in zip(times["parent"], times["change"]))
+    ratio = stats["change"][1] / stats["parent"][1]
+    print(f"change/parent {ratio:.3f}, change won {wins}/{args.rounds} rounds")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -11,12 +11,10 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .budget import Budget
+from .budget import STRIDE, Budget
 from .network import Network
 
 DEFAULT_ENUMERATION_CAP = 30
-
-_BUDGET_STRIDE = 4096
 
 
 class EnumerationCapExceeded(RuntimeError):
@@ -31,32 +29,26 @@ class EnumerationCapExceeded(RuntimeError):
         self.arc_count = arc_count
 
 
-def half_probability_tables(
-    probs: Sequence[float], budget: Budget | None = None
-) -> tuple[list[float], list[float], int]:
+def half_probability_tables(probs: Sequence[float]) -> tuple[list[float], list[float], int]:
     """Probability of every state vector, as two half-width tables.
 
     Returns (low, high, shift) with
     ``prob(bits) == low[bits & (2^shift - 1)] * high[bits >> shift]``,
     where prob(bits) is the product of p_i over set coordinates and
     1 - p_i over clear ones. Each table entry is a plain left-to-right
-    product of its arc factors. The budget, if given, is checked before
-    each arc doubles a table.
+    product of its arc factors. Callers refuse more than 30 arcs first
+    (DEFAULT_ENUMERATION_CAP), so a table has at most 2^15 entries.
     """
     m = len(probs)
     shift = m // 2
-    low = _table(probs[:shift], budget)
-    high = _table(probs[shift:], budget)
-    return low, high, shift
+    return _table(probs[:shift]), _table(probs[shift:]), shift
 
 
-def _table(probs: Sequence[float], budget: Budget | None) -> list[float]:
+def _table(probs: Sequence[float]) -> list[float]:
     # arc i appends its factor to every entry built so far: clear below
     # 2^i, set from 2^i on, so each entry is still a left-to-right product
     out = [1.0]
     for p in probs:
-        if budget is not None:
-            budget.check()
         out = [x * (1.0 - p) for x in out] + [x * p for x in out]
     return out
 
@@ -77,12 +69,12 @@ def reliability_oracle(network: Network, budget: Budget | None = None) -> float:
         return 1.0
     arc_u = [a.u for a in network.arcs]
     arc_v = [a.v for a in network.arcs]
-    low, high, shift = half_probability_tables(network.probabilities(), budget)
+    low, high, shift = half_probability_tables(network.probabilities())
     low_mask = (1 << shift) - 1
     base = list(range(n + 1))
     total = 0.0
     for bits in range(1 << m):
-        if budget is not None and bits & (_BUDGET_STRIDE - 1) == 0:
+        if budget is not None and bits % STRIDE == 0:
             budget.check()
         parent = base.copy()
         msk = bits

@@ -1,12 +1,17 @@
 """Cooperative wall-clock budgets for long-running computations.
 
-Backends poll a Budget at coarse intervals (every few thousand vectors)
-so a bench run can abandon an instance without threads or signals.
+Backends poll a Budget on one stride, so a bench run can abandon an
+instance without threads or signals: the oracle every STRIDE vectors,
+qbat every STRIDE search frames, and qb2 once per stage and every STRIDE
+vectors of a keyed stage. Tables and folds (the 30-arc cap bounds them)
+do not poll.
 """
 
 from __future__ import annotations
 
 import time
+
+STRIDE = 4096
 
 
 class BudgetExceeded(RuntimeError):

@@ -2,8 +2,9 @@
 
 Subcommands: compute, crosscheck, bench, generate. Exit codes: 0 on
 success, 1 for parse or validation failures, 2 for bad usage (argparse,
-including a ``--budget`` that is not a positive number of seconds or a
-``--tolerance`` that is not a number of at least 0), 3
+including a ``--budget`` that is not a positive number of seconds, a
+``--tolerance`` that is not a number of at least 0, or
+``--explain-decomposition`` with a flag that needs a solve), 3
 when a backend refuses to enumerate more than the fixed cap of 30 arcs
 (the oracle's whole network, or one qb2 stage), 4 when a crosscheck
 exceeds its tolerance, 5 when ``compute --budget SECONDS`` runs out of
@@ -40,10 +41,11 @@ def format_reliability(value: float) -> str:
 
 def _load_network(path: str):
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             text = handle.read()
-    except OSError as exc:
-        print(f"relengine: cannot read {path}: {exc.strerror}", file=sys.stderr)
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        print(f"relengine: cannot read {path}: {reason}", file=sys.stderr)
         return None
     try:
         return parse_network(text)
@@ -249,6 +251,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "compute" and args.explain_decomposition:
+        clashes = [flag for flag, given in (
+            ("--json", args.json), ("--counters", args.counters),
+            ("--time", args.show_time), ("--budget", args.budget is not None),
+            (f"--backend {args.backend}", args.backend != "qb2"),
+        ) if given]
+        if clashes:
+            parser.error(
+                "--explain-decomposition cannot be combined with " + ", ".join(clashes)
+            )
     if args.command == "crosscheck" and args.file is None and args.family is None:
         parser.error("crosscheck needs a file or --family/--k/--p")
     if args.command == "crosscheck" and args.file is None:

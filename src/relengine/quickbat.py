@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import graphops
-from .budget import Budget
+from .budget import STRIDE, Budget
 from .network import Network
 from .unionfind import find, merge, root, undo
 
@@ -36,7 +36,12 @@ class QuickBatStats:
     super_vectors counts accepted connected prefixes (each stands for all
     of its completions), connectivity_checks counts incremental union-find
     queries, multiplications and summations count floating operations on
-    probabilities.
+    probabilities. The walk counts the first two and the frames it visits,
+    ``visited``; with m arcs and ``zeros`` clear coordinates in the last
+    disconnected vector, multiplications = (visited - 1) + m + zeros (a
+    split multiplies once into each of its two frames, the tail once per
+    set coordinate and twice per clear one) and summations = super_vectors
+    + zeros (the tail adds once per clear coordinate).
     """
 
     super_vectors: int = 0
@@ -86,7 +91,7 @@ def last_disconnected(network: Network) -> int:
     return bits
 
 
-def tail_mass_above(probs, bits: int, stats: QuickBatStats | None = None) -> float:
+def tail_mass_above(probs, bits: int) -> float:
     """Probability that a random vector's value strictly exceeds `bits`.
 
     Walks the reference value from its most significant coordinate down:
@@ -95,20 +100,12 @@ def tail_mass_above(probs, bits: int, stats: QuickBatStats | None = None) -> flo
     """
     tail = 0.0
     suffix = 1.0
-    mults = 0
-    sums = 0
     for i in range(len(probs) - 1, -1, -1):
         if (bits >> i) & 1:
             suffix *= probs[i]
-            mults += 1
         else:
             tail += suffix * probs[i]
             suffix *= 1.0 - probs[i]
-            mults += 2
-            sums += 1
-    if stats is not None:
-        stats.multiplications += mults
-        stats.summations += sums
     return tail
 
 
@@ -124,8 +121,6 @@ def reliability_quick_bat(
     covers everything above it. Equality with the full-enumeration
     backends is the correctness anchor and is enforced by the test suite.
     """
-    if stats is None:
-        stats = QuickBatStats()
     n = network.node_count
     m = network.arc_count
     if n == 1:
@@ -137,8 +132,6 @@ def reliability_quick_bat(
     arc_u = [a.u for a in network.arcs]
     arc_v = [a.v for a in network.arcs]
 
-    tail = tail_mass_above(probs, hi, stats)
-
     # Union by size with an undo trail of real merges and no path
     # compression, so backtracking costs O(1) per merge made inside a prefix.
     parent = list(range(n + 1))
@@ -147,7 +140,7 @@ def reliability_quick_bat(
 
     full_span = 1 << m
     total = 0.0
-    visited = 0
+    visited = accepted = checks = 0
     # Frames (k, value, prob, connected, trail_mark); the 1-branch is pushed
     # before the 0-branch, so frames pop in depth-first, 0-branch-first order.
     # connected is None on the 1-branch of a disconnected prefix: arc k-1
@@ -159,10 +152,10 @@ def reliability_quick_bat(
             undo(parent, size, trail, mark)
         if connected is None:
             merge(parent, size, trail, arc_u[k - 1], arc_v[k - 1])
-            stats.connectivity_checks += 1
+            checks += 1
             connected = root(parent, 1) == root(parent, n)
         visited += 1
-        if budget is not None and visited & 2047 == 0:
+        if budget is not None and visited % STRIDE == 0:
             budget.check()
         if value > hi:
             continue  # every completion lies in the tail zone
@@ -171,16 +164,20 @@ def reliability_quick_bat(
             continue  # every completion precedes the first connected vector
         if connected and top <= hi:
             total += prob
-            stats.super_vectors += 1
-            stats.summations += 1
+            accepted += 1
             continue
         if k == m:
             continue
         # split the prefix; a connected one straddles the tail boundary,
         # and its children stay connected without rechecking
-        stats.multiplications += 2
         mark = len(trail)
         joined = True if connected else None
         stack.append((k + 1, value + (1 << k), prob * probs[k], joined, mark))
         stack.append((k + 1, value, prob * (1.0 - probs[k]), connected, mark))
-    return total + tail
+    if stats is not None:
+        zeros = m - hi.bit_count()
+        stats.super_vectors += accepted
+        stats.connectivity_checks += checks
+        stats.multiplications += visited - 1 + m + zeros
+        stats.summations += accepted + zeros
+    return total + tail_mass_above(probs, hi)

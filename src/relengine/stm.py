@@ -42,12 +42,11 @@ from .bat import (
     EnumerationCapExceeded,
     half_probability_tables,
 )
-from .budget import Budget
+from .budget import STRIDE, Budget
 from .decompose import Stage, decompose
 from .network import Network
 from .unionfind import find, merge, undo, union
 
-_BUDGET_STRIDE = 4096
 # Below this many low arcs (at most 8 low leaves per high leaf) a key
 # costs more than the low walk it saves, so the stage is walked whole.
 _KEYED_SHIFT = 4
@@ -257,7 +256,7 @@ def tabulate_stage(
     counters: Counters | None = None,
 ) -> WeightedStmSet:
     """Pool the connectivity matrix of every stage vector (``_tabulate``)."""
-    pooled, discarded = _tabulate(network, stage, budget, counters, {})
+    pooled, discarded = _tabulate(network, stage, budget, counters or Counters(), {})
     return WeightedStmSet(
         len(stage.source_nodes), len(stage.target_nodes), pooled, discarded
     )
@@ -267,7 +266,7 @@ def _tabulate(
     network: Network,
     stage: Stage,
     budget: Budget | None,
-    counters: Counters | None,
+    counters: Counters,
     walks: dict,
 ) -> tuple[dict[int, float], float]:
     """Pool the connectivity matrix of every stage vector, by matrix bits.
@@ -295,21 +294,20 @@ def _tabulate(
     (``reliability_qb2`` does, for one solve) walks each shape once and
     redoes only the probability sums for the others. The all-zero matrix
     is dropped and its mass returned as the discarded mass. A budget is
-    checked once per arc while the tables are built, then before leaf 0
-    and, in a keyed stage, at every high leaf whose first vector index is
-    a multiple of _BUDGET_STRIDE (every high leaf, once one spans that
-    many vectors), whether or not the shape or key was walked before.
+    checked before leaf 0 and, in a keyed stage, at every high leaf whose
+    first vector index is a multiple of budget.STRIDE, whether or not the
+    shape or key was walked before.
     """
     g = len(stage.arc_ids)
     arcs = [network.arcs[arc_id - 1] for arc_id in stage.arc_ids]
-    low, high, shift = half_probability_tables([a.p for a in arcs], budget)
+    low, high, shift = half_probability_tables([a.p for a in arcs])
     local = {node: idx for idx, node in enumerate(stage.node_ids)}
     n = len(local)
     arc_u = tuple([local[a.u] for a in arcs])
     arc_v = tuple([local[a.v] for a in arcs])
     sources = tuple([local[s] for s in stage.source_nodes])
     targets = tuple([local[t] for t in stage.target_nodes])
-    if budget is not None:  # leaf 0's check, made before any walk
+    if budget is not None:  # the stage's check, made before any walk
         budget.check()
     # matrix bits -> mass; the all-zero matrix 0 is popped as discarded
     pooled: dict[int, float] = {}
@@ -339,7 +337,7 @@ def _tabulate(
         stored = 0
         zeros = 0
         for hb, key in enumerate(keys):
-            if budget is not None and hb and (hb << shift) & (_BUDGET_STRIDE - 1) == 0:
+            if budget is not None and hb and (hb << shift) % STRIDE == 0:
                 budget.check()
             half = memo.get(key)
             if half is None:
@@ -355,13 +353,12 @@ def _tabulate(
             for out, lows in by_matrix.items():
                 pooled[out] = reduce(add, map(mul, lows, repeat(h)), get(out, 0.0))
     discarded = pooled.pop(0, 0.0)
-    if counters is not None:
-        counters.multiplications += 1 << g
-        counters.summations += (1 << g) - zeros - len(pooled)
+    counters.multiplications += 1 << g
+    counters.summations += (1 << g) - zeros - len(pooled)
     return pooled, discarded
 
 
-def _fold(acc, stage, stage_shape, plans, counters=None) -> dict[int, float]:
+def _fold(acc, stage, stage_shape, plans, counters) -> dict[int, float]:
     """Fold one pooled stage into the pooled one-row accumulator, by bits.
 
     ``acc`` and ``stage`` map matrix bits to mass, the stage's shape is
@@ -388,11 +385,10 @@ def _fold(acc, stage, stage_shape, plans, counters=None) -> dict[int, float]:
         for out, mass in zip(products, stage_masses):
             if out:
                 pooled[out] = get(out, 0.0) + acc_mass * mass
-    if counters is not None:
-        pairs = len(acc) * len(stage)
-        counters.convolution_products += pairs
-        counters.multiplications += pairs - zeros
-        counters.summations += pairs - zeros - len(pooled)
+    pairs = len(acc) * len(stage)
+    counters.convolution_products += pairs
+    counters.multiplications += pairs - zeros
+    counters.summations += pairs - zeros - len(pooled)
     return pooled
 
 
@@ -446,17 +442,18 @@ def convolve_sets(
             f"cannot convolve {acc.rows}x{acc.cols} with {shape[0]}x{shape[1]}: "
             "the accumulator must be one row as wide as the stage has rows"
         )
-    pooled = _fold(acc.pooled, stage_set.pooled, shape, {}, counters)
+    pooled = _fold(acc.pooled, stage_set.pooled, shape, {}, counters or Counters())
     return WeightedStmSet(1, stage_set.cols, pooled)
 
 
 def reliability_qb2(
     network: Network, budget: Budget | None = None
 ) -> tuple[float, Counters]:
-    """Stage tabulation followed by a left-to-right fold.
+    """Stage tabulation with a left-to-right fold.
 
-    Tabulates every stage (``_tabulate``), folds the pooled sets in stage
-    order with pooling after each fold (``_fold``), and returns the total
+    Tabulates each stage in order (``_tabulate``) and folds its pooled set
+    into the accumulator, with pooling after each fold (``_fold``); the
+    budget is checked once per stage, in ``_tabulate``. Returns the total
     mass of the surviving final matrices, which are all the 1x1 connected
     matrix. Both steps pool by matrix bits in plain dicts, and each fold
     unpacks its stage matrices' rows once; no matrix object is built.
@@ -481,20 +478,14 @@ def reliability_qb2(
             f"{DEFAULT_ENUMERATION_CAP}; its 2^{width} vectors are not enumerated",
         )
     walks: dict = {}
-    tables = []
+    plans: dict = {}
+    acc = None
     for stage in stages:
-        if budget is not None:
-            budget.check()
         pooled, _ = _tabulate(network, stage, budget, counters, walks)
         counters.stage_stm_counts.append(len(pooled))
-        tables.append(pooled)
-    # stage 1 has one source, so the accumulator is one row, and stage s's
-    # targets are stage s+1's sources, so its width is the next stage's rows
-    acc = tables[0]
-    plans: dict = {}
-    for stage, pooled in zip(stages[1:], tables[1:]):
-        if budget is not None:
-            budget.check()
+        if acc is None:  # stage 1 has one source: a one-row accumulator
+            acc = pooled
+            continue
         shape = (len(stage.source_nodes), len(stage.target_nodes))
         acc = _fold(acc, pooled, shape, plans, counters)
         counters.fold_stm_counts.append(len(acc))

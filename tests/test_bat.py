@@ -127,9 +127,3 @@ def test_deterministic_arc_probability_pins_reliability():
     # p=0 on the only bridge kills the network.
     net = make_network(3, [(1, 2, 0.0), (2, 3, 0.5)])
     assert reliability_oracle(net) == pytest.approx(0.0, abs=0)
-
-
-def test_probability_tables_honour_the_budget():
-    # two tables of 2^22 entries: the budget runs out long before they fill
-    with pytest.raises(BudgetExceeded):
-        half_probability_tables([0.5] * 44, Budget(1e-7))

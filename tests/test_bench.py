@@ -1,4 +1,5 @@
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -189,3 +190,39 @@ def test_crosscheck_script_rejects_bad_arguments(args, message):
     assert done.returncode == 2
     assert message in done.stderr
     assert done.stdout == ""
+
+
+def test_ab_inprocess_script_compares_two_checkouts(tmp_path):
+    root = Path(__file__).resolve().parent.parent
+    copy = tmp_path / "copy"
+    shutil.copytree(
+        root / "src" / "relengine", copy / "src" / "relengine",
+        ignore=shutil.ignore_patterns("__pycache__"),
+    )
+
+    def run(change):
+        return subprocess.run(
+            [
+                sys.executable, "scripts/ab_inprocess.py", str(root), str(change),
+                "--workload", "grid", "--backend", "qb2", "--rounds", "2",
+            ],
+            cwd=root, capture_output=True, text=True, timeout=120,
+        )
+
+    done = run(copy)
+    assert done.returncode == 0, done.stderr
+    assert "grid seed 1, qb2: 15 instances agree" in done.stdout
+    assert "change won" in done.stdout
+    # a copy whose qb2 miscounts by one summation is caught before timing
+    with open(copy / "src" / "relengine" / "stm.py", "a") as handle:
+        handle.write(
+            "\n_exact = reliability_qb2\n\n\n"
+            "def reliability_qb2(network, budget=None):\n"
+            "    value, counters = _exact(network, budget)\n"
+            "    counters.summations += 1\n"
+            "    return value, counters\n"
+        )
+    done = run(copy)
+    assert done.returncode == 1, done.stderr
+    assert "grid-3x2-0 (qb2) differs" in done.stdout
+    assert "change won" not in done.stdout

@@ -125,6 +125,27 @@ def test_compute_explain_decomposition_single_node(tmp_path, capsys):
     assert "shortest path: (source equals sink)" in out
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--json"],
+        ["--counters"],
+        ["--time"],
+        ["--budget", "10"],
+        ["--backend", "oracle"],
+        ["--backend", "qbat"],
+    ],
+    ids=lambda flags: "-".join(flags).lstrip("-"),
+)
+def test_compute_explain_decomposition_refuses_other_output(example_file, capsys, flags):
+    with pytest.raises(SystemExit) as err:
+        main(["compute", example_file, "--explain-decomposition", *flags])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"cannot be combined with {flags[0]}" in captured.err
+
+
 def test_compute_qbat_on_long_series(tmp_path, capsys):
     code, text, _ = run_cli(
         ["generate", "--family", "series", "--k", "1200", "--p", "0.9"], capsys
@@ -205,6 +226,24 @@ def test_compute_rejects_huge_node_count(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert "disconnected" in err
+
+
+@pytest.mark.parametrize("command", ["compute", "crosscheck"])
+def test_network_file_encodings(tmp_path, capsys, command):
+    # a UTF-8 byte-order mark is skipped; undecodable bytes are a read error
+    bom = tmp_path / "bom.net"
+    bom.write_bytes(b"\xef\xbb\xbfnodes 2\narc 1 2 0.5\n")
+    code, out, err = run_cli([command, str(bom)], capsys)
+    assert code == 0
+    assert err == ""
+    assert out.startswith("0.5000000000\n" if command == "compute" else "oracle  0.5000000000\n")
+    latin = tmp_path / "latin.net"
+    latin.write_bytes(b"nodes 2\narc 1 2 0.5 \xff\n")
+    code, out, err = run_cli([command, str(latin)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"relengine: cannot read {latin}: ")
+    assert "can't decode byte 0xff" in err
 
 
 def test_compute_missing_file(capsys):

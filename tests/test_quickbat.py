@@ -186,3 +186,13 @@ def test_stats_counts_on_example(example_uniform):
     assert stats.connectivity_checks == 106
     assert stats.multiplications == 227
     assert stats.summations == 40
+    # super_vectors, connectivity_checks, multiplications, summations
+    for family, k, counts in [
+        ("series", 12, (0, 12, 37, 1)),
+        ("ladder", 4, (1592, 15671, 31364, 1594)),
+        ("bridge-chain", 2, (2242, 15144, 30310, 2244)),
+        ("grid", 3, (648, 3603, 7240, 650)),
+    ]:
+        stats = QuickBatStats()
+        reliability_quick_bat(build(GeneratorSpec(family, k, 0.9)), stats=stats)
+        assert tuple(stats.as_dict().values()) == counts, (family, k)

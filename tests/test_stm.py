@@ -536,13 +536,13 @@ def test_tabulation_checks_budget_inside_walk():
     net = random_network(random.Random(1), (6, 9), (16, 16))
     (stage,) = decompose(net).stages
     assert len(stage.arc_ids) == 16
-    # one check per arc while the two tables are built, then one per
-    # 4096 leaves of the walk
-    tables, walk = 16, (1 << 16) // 4096
+    # the stage's check before leaf 0, then one per 4096 leaves of the
+    # walk; building the tables checks nothing
+    walk = (1 << 16) // 4096
     budget = CountingBudget()
     tabulate_stage(net, stage, budget)
-    assert budget.calls == tables + walk
-    for raise_on in (tables + 1, tables + walk):
+    assert budget.calls == walk
+    for raise_on in (1, walk):
         budget = CountingBudget(raise_on)
         with pytest.raises(BudgetExceeded):
             tabulate_stage(net, stage, budget)
@@ -563,44 +563,46 @@ def test_tabulation_checks_budget_before_walking_a_wide_stage(monkeypatch):
     net = build(GeneratorSpec("grid", 7, 0.9))
     stage = decompose(net).stages[1]
     assert len(stage.arc_ids) == 30
-    tables = 30
 
     def no_walk(*args, **kwargs):
         raise AssertionError("the stage was walked")
 
     with monkeypatch.context() as patched:
         patched.setattr("relengine.stm._walk", no_walk)
-        budget = CountingBudget(tables + 1)
+        budget = CountingBudget(1)
         with pytest.raises(BudgetExceeded):
             tabulate_stage(net, stage, budget)
-        assert budget.calls == tables + 1
+        assert budget.calls == 1
+        # building the tables checks nothing: one check, then the walk
+        budget = CountingBudget()
+        with pytest.raises(AssertionError, match="walked"):
+            tabulate_stage(net, stage, budget)
+        assert budget.calls == 1
     # with shift 15, the next check comes at high leaf 1
-    budget = CountingBudget(tables + 2)
+    budget = CountingBudget(2)
     with pytest.raises(BudgetExceeded):
         tabulate_stage(net, stage, budget)
-    assert budget.calls == tables + 2
+    assert budget.calls == 2
 
 
 def test_tabulation_checks_budget_within_a_high_leaf(monkeypatch):
     # a stride below 2^shift puts a check at every high leaf, as
-    # _BUDGET_STRIDE does for stages of 26 arcs and more: 16 arcs split
+    # budget.STRIDE does for stages of 26 arcs and more: 16 arcs split
     # at shift 8 give 2^8 high leaves
-    monkeypatch.setattr("relengine.stm._BUDGET_STRIDE", 16)
+    monkeypatch.setattr("relengine.stm.STRIDE", 16)
     net = random_network(random.Random(1), (6, 9), (16, 16))
     (stage,) = decompose(net).stages
     budget = CountingBudget()
     tabulate_stage(net, stage, budget)
-    assert budget.calls == 16 + (1 << 8)
+    assert budget.calls == 1 << 8
 
 
-@pytest.mark.parametrize("family, k, checks", [("series", 12, 47), ("ladder", 4, 31)])
+@pytest.mark.parametrize("family, k, checks", [("series", 12, 12), ("ladder", 4, 6)])
 def test_qb2_checks_budget_on_memo_hits(family, k, checks):
     net = build(GeneratorSpec(family, k, 0.9))
-    stages = decompose(net).stages
-    # one per stage, one per arc while its tables are built, leaf 0's,
-    # and one per fold, though most stages reuse a walked shape
-    arcs = sum(len(stage.arc_ids) for stage in stages)
-    assert checks == len(stages) + arcs + len(stages) + len(stages) - 1
+    # one per stage, though most stages reuse a walked shape; no stage
+    # here is keyed, and folds check nothing
+    assert checks == len(decompose(net).stages)
     budget = CountingBudget()
     reliability_qb2(net, budget)
     assert budget.calls == checks
@@ -609,6 +611,28 @@ def test_qb2_checks_budget_on_memo_hits(family, k, checks):
         with pytest.raises(BudgetExceeded):
             reliability_qb2(net, budget)
         assert budget.calls == raise_on
+
+
+@pytest.mark.parametrize(
+    "backend, family, k, p, checks",
+    [
+        ("qb2", "series", 1200, 0.9, 1200),
+        ("qb2", "bridge-chain", 32, 0.9, 65),
+        ("oracle", "ladder", 6, 0.5, 256),
+        ("qbat", "grid", 5, 0.5, 1876),
+    ],
+)
+def test_backends_check_budget_once_per_stride(backend, family, k, p, checks):
+    # qb2 once per stage (none of these is keyed), the oracle once per
+    # 4096 vectors of its 2^20 and qbat once per 4096 search frames
+    solve = {
+        "qb2": reliability_qb2,
+        "oracle": reliability_oracle,
+        "qbat": reliability_quick_bat,
+    }[backend]
+    budget = CountingBudget()
+    solve(build(GeneratorSpec(family, k, p)), budget)
+    assert budget.calls == checks
 
 
 def test_qb2_refuses_a_long_wide_grid():
