@@ -3,12 +3,13 @@
 Subcommands: compute, crosscheck, bench, generate. Exit codes: 0 on
 success, 1 for parse or validation failures, 2 for bad usage (argparse,
 including a ``--budget`` that is not a positive number of seconds, a
-``--tolerance`` that is not a number of at least 0, or
-``--explain-decomposition`` with a flag that needs a solve), 3
-when a backend refuses to enumerate more than the fixed cap of 30 arcs
-(the oracle's whole network, or one qb2 stage), 4 when a crosscheck
-exceeds its tolerance, 5 when ``compute --budget SECONDS`` runs out of
-time before the answer is known.
+``--tolerance`` that is not a number of at least 0,
+``--explain-decomposition`` with a flag that needs a solve, or a
+crosscheck file with a generator flag), 3 when a backend refuses to
+enumerate more than the fixed cap of 30 arcs (the oracle's whole
+network, or one qb2 stage), 4 when a crosscheck exceeds its tolerance, 5
+when ``compute --budget SECONDS`` runs out of time before the answer is
+known.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 
 from . import bat, bench, generators
@@ -32,11 +32,15 @@ EXIT_BUDGET = 5
 
 
 def format_reliability(value: float) -> str:
-    """Fixed-point rendering with 10 significant digits."""
+    """Fixed-point rendering with 10 significant digits.
+
+    The digits are counted after rounding, so 0.99999999997 prints as
+    1.000000000, not with an eleventh digit.
+    """
     if value <= 0.0:
         return "0.000000000"
-    decimals = max(0, 9 - math.floor(math.log10(value)))
-    return f"{value:.{decimals}f}"
+    exponent = int(f"{value:.9e}".split("e")[1])
+    return f"{value:.{max(0, 9 - exponent)}f}"
 
 
 def _load_network(path: str):
@@ -150,14 +154,15 @@ def _cmd_bench(args) -> int:
     except (ValueError, NetworkError) as exc:
         print(f"relengine: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
+    if args.json:
+        print(json.dumps(rows))
+        return EXIT_OK
     fields = list(rows[0])  # bench_sweep's keys, in column order
     for row in rows:
         if row["reliability"] is not None:
             row["reliability"] = format_reliability(row["reliability"])
         row["wall_time_s"] = f"{row['wall_time_s']:.6f}"
-    if args.json:
-        print(json.dumps(rows))
-    elif args.csv:
+    if args.csv:
         writer = csv.DictWriter(sys.stdout, fieldnames=fields)
         writer.writeheader()
         writer.writerows(rows)
@@ -261,10 +266,14 @@ def main(argv=None) -> int:
             parser.error(
                 "--explain-decomposition cannot be combined with " + ", ".join(clashes)
             )
-    if args.command == "crosscheck" and args.file is None and args.family is None:
-        parser.error("crosscheck needs a file or --family/--k/--p")
-    if args.command == "crosscheck" and args.file is None:
-        if args.k is None or args.p is None:
+    if args.command == "crosscheck":
+        given = [f"--{name}" for name in ("family", "k", "p", "seed")
+                 if getattr(args, name) is not None]
+        if args.file is not None and given:
+            parser.error("a network file cannot be combined with " + ", ".join(given))
+        if args.file is None and args.family is None:
+            parser.error("crosscheck needs a file or --family/--k/--p")
+        if args.file is None and (args.k is None or args.p is None):
             parser.error("generator mode needs --k and --p")
     return args.handler(args)
 

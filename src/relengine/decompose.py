@@ -119,7 +119,7 @@ def find_shortest_mcs(network: Network) -> Decomposition:
     is the nodes its search newly reached.
     """
     adj = graphops.adjacency(network)
-    path = graphops.shortest_path(network, adj, graphops.unit_weights(network))
+    path = graphops.shortest_path(adj)
     us, vs = _arc_ends(network)
     nodes_on_path = [network.source]
     for arc_id in path:

@@ -1,14 +1,13 @@
-"""Weighted shortest paths and minimum cuts on validated networks.
+"""Shortest paths and minimum cuts on validated networks.
 
-Weights are exact Python integers so that the power-of-two weighting
-stays collision free at any arc count; with distinct powers of two the
-shortest path is unique and Dijkstra's tie breaking is never exercised.
-Minimum cuts count arcs, one each, except one pinned arc that is free
-to cut; their ties are settled by a fixed rule: the cut with the
-smallest source side. A cut search may be told that some nodes are
-already settled on the source side; those nodes may touch only sources
-and other settled nodes, so the search skips them and costs only the
-part of the graph it newly reaches.
+Both rank by arc count, one per arc. The shortest path runs Dijkstra
+with a step of one and a fixed tie rule, so the same adjacency always
+gives the same path. Minimum cuts count arcs, one each, except one
+pinned arc that is free to cut; their ties are settled by a fixed rule:
+the cut with the smallest source side. A cut search may be told that
+some nodes are already settled on the source side; those nodes may
+touch only sources and other settled nodes, so the search skips them
+and costs only the part of the graph it newly reaches.
 """
 
 from __future__ import annotations
@@ -17,8 +16,6 @@ import heapq
 from collections.abc import Collection, Container, Iterable, Sequence
 
 from .network import Network
-
-ArcWeighting = tuple[int, ...]
 
 
 def adjacency(network: Network) -> list[list[tuple[int, int]]]:
@@ -30,30 +27,15 @@ def adjacency(network: Network) -> list[list[tuple[int, int]]]:
     return adj
 
 
-def unit_weights(network: Network) -> ArcWeighting:
-    return (1,) * network.arc_count
+def shortest_path(adj: Sequence[Sequence[tuple[int, int]]]) -> tuple[int, ...]:
+    """Arc ids of a fewest-arc path from node 1 to node n = len(adj) - 1.
 
-
-def ld_weights(network: Network) -> ArcWeighting:
-    """Weight 2^i for arc i: early arcs light, late arcs heavy."""
-    return tuple(1 << i for i in range(1, network.arc_count + 1))
-
-
-def shortest_path(
-    network: Network,
-    adj: Sequence[Sequence[tuple[int, int]]],
-    weighting: Sequence[int],
-) -> tuple[int, ...]:
-    """Arc ids of a minimum total weight path from node 1 to node n.
-
-    `adj` is `adjacency(network)`. Plain Dijkstra over exact integer
-    distances. Relaxation requires a strict improvement and scans arcs in
-    id order, so the returned path is deterministic even when the
-    weighting has ties.
+    `adj` has the shape of `adjacency`. Plain Dijkstra with a step of
+    one. Relaxation requires a strict improvement and scans each node's
+    arcs in list order, so the returned path is deterministic when
+    several paths tie.
     """
-    if len(weighting) != network.arc_count:
-        raise ValueError("weighting length does not match arc count")
-    n = network.node_count
+    n = len(adj) - 1
     if n == 1:
         return ()
     dist: list[int | None] = [None] * (n + 1)
@@ -67,8 +49,8 @@ def shortest_path(
             continue
         if node == n:
             break
+        nd = d + 1
         for arc_id, other in adj[node]:
-            nd = d + weighting[arc_id - 1]
             if dist[other] is None or nd < dist[other]:
                 dist[other] = nd
                 pred_arc[other] = arc_id

@@ -2,8 +2,8 @@
 
 A network is a connected undirected graph on nodes 1..n with one
 probability per arc. Node 1 is always the source and node n the sink.
-Arc order is file order and is load-bearing: state vectors, weightings
-and every enumeration index arcs by this order.
+Arc order is file order and is load-bearing: state vectors and every
+enumeration index arcs by this order.
 
 File format (UTF-8, line oriented):
 

@@ -5,11 +5,12 @@ and the last disconnected vector split the 2^m state space into three
 zones: everything below the first connected vector is disconnected and
 carries no mass, everything above the last disconnected vector is
 connected and its mass has a closed form, and only the middle zone needs
-searching. The first landmark comes from a shortest path and the last
-from a greedy union-find pass, so neither needs a flow. The middle
-search walks prefixes depth first and prunes a whole subtree the moment
-its prefix is connected, because a connected prefix certifies every
-completion connected.
+searching. The first landmark is the source-sink path of the spanning
+tree grown by joining arcs in id order, and the last comes from a greedy
+union-find pass from the highest arc down, so neither needs a flow. The
+middle search walks prefixes depth first and prunes a whole subtree the
+moment its prefix is connected, because a connected prefix certifies
+every completion connected.
 
 The walk is one loop over an explicit stack of prefix frames, so the
 recursion limit does not bound the arc count. Popping a frame rolls the
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from . import graphops
 from .budget import STRIDE, Budget
 from .network import Network
-from .unionfind import find, merge, root, undo
+from .unionfind import find, merge, root, undo, union
 
 
 @dataclass
@@ -56,17 +57,22 @@ class QuickBatStats:
 def first_connected(network: Network) -> int:
     """The earliest connected vector in enumeration order.
 
-    A minimal connected arc set is a simple source-sink path, and clearing
-    any spare coordinate of a connected vector lowers its value, so the
-    earliest connected vector is the indicator of the path minimising the
-    sum of its coordinate place values 2^(i-1). That path is exactly the
-    shortest path under the increasing power-of-two weighting.
+    A minimal connected arc set is a simple source-sink path, so the
+    earliest connected vector is the indicator of the path whose highest
+    arc is lowest, then whose next highest is, and so on. That is the
+    source-sink path of the spanning tree grown by joining arcs in id
+    order (Kruskal's rule): the highest arc where another path differs
+    from it is the other path's, because every other arc across the cut
+    that removing a tree arc leaves is higher than that tree arc.
     """
-    path = graphops.shortest_path(
-        network, graphops.adjacency(network), graphops.ld_weights(network)
-    )
+    parent = list(range(network.node_count + 1))
+    tree: list[list[tuple[int, int]]] = [[] for _ in parent]
+    for a in network.arcs:
+        if union(parent, a.u, a.v):
+            tree[a.u].append((a.id, a.v))
+            tree[a.v].append((a.id, a.u))
     bits = 0
-    for arc_id in path:
+    for arc_id in graphops.shortest_path(tree):
         bits |= 1 << (arc_id - 1)
     return bits
 

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import relengine
+from relengine.bench import run_backend
 from relengine.cli import build_parser, format_reliability, main
 from relengine.generators import GeneratorSpec, build
 from relengine.network import format_network, network_digest, parse_network
@@ -37,6 +38,8 @@ def run_cli(argv, capsys):
         (0.05, "0.05000000000"),
         (0.0009876543215, "0.0009876543215"),
         (0.0, "0.000000000"),
+        (0.99999999997, "1.000000000"),
+        (0.0999999999996, "0.1000000000"),
     ],
 )
 def test_format_reliability_keeps_ten_significant_digits(value, text):
@@ -325,6 +328,24 @@ def test_crosscheck_generator_mode(capsys):
     assert "PASS" in out
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--family", "series", "--k", "3", "--p", "0.1"],
+        ["--k", "3"],
+        ["--p", "0.1"],
+        ["--seed", "4"],
+    ],
+)
+def test_crosscheck_refuses_file_with_generator_flags(example_file, capsys, flags):
+    with pytest.raises(SystemExit) as err:
+        main(["crosscheck", example_file, *flags])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"cannot be combined with {flags[0]}" in captured.err
+
+
 def test_crosscheck_needs_some_network(capsys):
     with pytest.raises(SystemExit) as err:
         main(["crosscheck"])
@@ -385,6 +406,23 @@ def test_bench_json_output(capsys):
     rows = json.loads(out)
     assert [r["backend"] for r in rows] == ["oracle", "qb2"]
     assert rows[0]["reliability"] == rows[1]["reliability"]
+
+
+def test_bench_json_keeps_numbers(capsys):
+    code, out, _ = run_cli(
+        [
+            "bench", "--family", "series", "--k-min", "1", "--k-max", "2",
+            "--p", "0.3", "--backends", "qb2", "--json",
+        ],
+        capsys,
+    )
+    assert code == 0
+    rows = json.loads(out)
+    assert [row["k"] for row in rows] == [1, 2]
+    for row in rows:
+        network = build(GeneratorSpec("series", row["k"], 0.3))
+        assert row["reliability"] == run_backend(network, "qb2").reliability
+        assert isinstance(row["wall_time_s"], float)
 
 
 def test_bench_rejects_unknown_backend(capsys):

@@ -3,15 +3,10 @@ import random
 
 import pytest
 
-from relengine.graphops import (
-    adjacency,
-    ld_weights,
-    min_cut_partition,
-    shortest_path,
-    unit_weights,
-)
+from relengine.graphops import adjacency, min_cut_partition, shortest_path
 from relengine.network import Arc, Network, make_network
 from relengine.generators import GeneratorSpec, build, random_network
+from relengine.quickbat import first_connected
 
 
 def from_scratch(net, sources, sinks, pinned=0):
@@ -64,45 +59,20 @@ def disconnects(net, removed_ids, sources, sink):
     return not any(s in seen for s in sources)
 
 
-def test_weight_helpers_on_seven_arcs():
-    net = make_network(8, [(i, i + 1, 0.5) for i in range(1, 8)])
-    assert unit_weights(net) == (1,) * 7
-    assert ld_weights(net) == (2, 4, 8, 16, 32, 64, 128)
-
-
-def test_weight_helpers_on_one_arc():
-    net = make_network(2, [(1, 2, 0.5)])
-    assert ld_weights(net) == (2,)
-
-
-def test_weight_helpers_are_monotone_power_of_two_sequences():
-    net = make_network(6, [(i, i + 1, 0.5) for i in range(1, 6)])
-    ld = ld_weights(net)
-    assert all(a < b for a, b in zip(ld, ld[1:]))
-    assert all(w & (w - 1) == 0 for w in ld)
-
-
 def test_shortest_path_on_example(example_uniform):
-    adj = adjacency(example_uniform)
-    assert shortest_path(example_uniform, adj, unit_weights(example_uniform)) == (2, 6)
-    assert shortest_path(example_uniform, adj, (64, 32, 16, 8, 4, 2, 1)) == (2, 6)
+    assert shortest_path(adjacency(example_uniform)) == (2, 6)
 
 
 def test_shortest_path_single_arc():
     net = make_network(2, [(1, 2, 0.5)])
-    assert shortest_path(net, adjacency(net), unit_weights(net)) == (1,)
-
-
-def test_shortest_path_rejects_bad_weighting_length(example_uniform):
-    with pytest.raises(ValueError):
-        shortest_path(example_uniform, adjacency(example_uniform), (1, 2, 3))
+    assert shortest_path(adjacency(net)) == (1,)
 
 
 def test_shortest_path_reports_unreachable_sink():
     # Bypasses make_network to build a (normally rejected) split graph.
     net = Network(3, (Arc(1, 1, 2, 0.5),))
     with pytest.raises(ValueError, match="no path"):
-        shortest_path(net, adjacency(net), (1,))
+        shortest_path(adjacency(net))
 
 
 def test_min_cut_on_example(example_uniform):
@@ -227,22 +197,20 @@ def test_settled_search_matches_from_scratch_on_random_networks():
 
 
 def test_shortest_path_matches_exhaustive_search():
+    # first_connected reads its path off the arc-order spanning tree with
+    # shortest_path; it must be the simple path of least sum 2^(id-1).
+    # Each network is renumbered by a random permutation of its arcs.
     rng = random.Random(41)
     for _ in range(120):
         net = random_network(rng, node_range=(4, 7), arc_range=(5, 12))
-        exponents = list(range(1, net.arc_count + 1))
-        rng.shuffle(exponents)
-        weighting = tuple(1 << e for e in exponents)
+        new_ids = list(range(1, net.arc_count + 1))
+        rng.shuffle(new_ids)
+        by_id = sorted(zip(new_ids, net.arcs))
+        net = make_network(net.node_count, [(a.u, a.v, a.p) for _, a in by_id])
         best = min(
-            all_simple_paths(net),
-            key=lambda path: sum(weighting[i - 1] for i in path),
+            sum(1 << (i - 1) for i in path) for path in all_simple_paths(net)
         )
-        got = shortest_path(net, adjacency(net), weighting)
-        # Distinct powers of two make the optimum unique as an arc set.
-        assert sorted(got) == sorted(best)
-        assert sum(weighting[i - 1] for i in got) == sum(
-            weighting[i - 1] for i in best
-        )
+        assert first_connected(net) == best
 
 
 def test_min_cut_matches_exhaustive_search():

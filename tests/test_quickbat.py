@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -49,6 +50,19 @@ def test_last_disconnected_trivial_networks():
 def test_last_disconnected_on_long_path_does_not_recurse():
     net = build(GeneratorSpec("series", 1500, 0.9))
     assert last_disconnected(net) == (1 << 1500) - 2
+
+
+def test_first_connected_on_long_path_stays_small():
+    # The spanning tree and its path take O(n + m) memory, a few MiB here;
+    # path weights of 2^i would hold about m^2/2 bits, some 57 MiB.
+    net = build(GeneratorSpec("series", 20000, 0.9))
+    tracemalloc.start()
+    try:
+        assert first_connected(net) == (1 << 20000) - 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_walk_on_long_path_does_not_recurse():
