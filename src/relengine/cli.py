@@ -32,14 +32,19 @@ EXIT_BUDGET = 5
 
 
 def format_reliability(value: float) -> str:
-    """Fixed-point rendering with 10 significant digits.
+    """Rendering with 10 significant digits, fixed-point down to 1e-4.
 
     The digits are counted after rounding, so 0.99999999997 prints as
-    1.000000000, not with an eleventh digit.
+    1.000000000, not with an eleventh digit. Below 1e-4 after that
+    rounding the value prints in exponent form, so 2^-1000 prints as
+    9.332636185e-302, not as some three hundred zeros.
     """
     if value <= 0.0:
         return "0.000000000"
-    exponent = int(f"{value:.9e}".split("e")[1])
+    text = f"{value:.9e}"
+    exponent = int(text.split("e")[1])
+    if exponent < -4:
+        return text
     return f"{value:.{max(0, 9 - exponent)}f}"
 
 
@@ -139,9 +144,12 @@ def _cmd_crosscheck(args) -> int:
 
 def _cmd_bench(args) -> int:
     backends = tuple(name.strip() for name in args.backends.split(",") if name.strip())
-    for name in backends:
+    for i, name in enumerate(backends):
         if name not in bench.BACKENDS:
             print(f"relengine: unknown backend {name!r}", file=sys.stderr)
+            return EXIT_USAGE
+        if name in backends[:i]:
+            print(f"relengine: backend {name!r} given twice", file=sys.stderr)
             return EXIT_USAGE
     if not backends or args.k_min < 1 or args.k_max < args.k_min:
         print("relengine: empty sweep", file=sys.stderr)

@@ -90,8 +90,10 @@ def build(spec: GeneratorSpec) -> Network:
     if spec.k < 1:
         raise ValueError("size parameter k must be at least 1")
     node_count, pairs = _BUILDERS[spec.family](spec.k)
-    if spec.seed is None:
+    if spec.seed is None:  # make_network refuses a p outside [0, 1]
         probs = [spec.p] * len(pairs)
+    elif not 0.0 <= spec.p <= 1.0:  # the seed draws every arc's p instead
+        raise ValueError(f"probability p={spec.p!r} outside [0, 1]")
     else:
         rng = random.Random(spec.seed)
         probs = [round(rng.uniform(0.05, 0.95), 6) for _ in pairs]

@@ -13,21 +13,19 @@ sweep (``stm_from_vector`` over ``range(2^g)``) would use, so the tables
 are bit-identical to that sweep. Folding consecutive stages is a boolean
 max-min matrix product. Stage one has a single source node, so the
 accumulator is always one row, as wide as the next stage has rows: a
-product is the OR of the stage rows that the accumulator's bits select,
-and the rows of each stage matrix are unpacked once per fold.
+product is the OR of the stage rows that the accumulator's bits select.
 ``reliability_qb2`` works on these plain ints and builds no matrix
 objects; ``tabulate_stage`` and ``convolve_sets`` wrap the same cores
 and return ``WeightedStmSet`` views of their results.
 
-Each stage's and fold's work splits into structure and arithmetic. The
-structure (which leaf gives which matrix, which pair gives which
-product) depends only on a stage's local shape, or on a fold's stage
-shape and the bits of both tables in order; the arithmetic is the
-probability sums. One ``reliability_qb2`` call keeps the structure in
-two local dicts keyed that way, so on a long chain of like stages each
-shape is walked and each fold planned once, and every stage and fold
-redoes only its sums, in the same order as before. Nothing outlives the
-call, and the wrappers start from empty dicts.
+Only tabulation keeps structure across stages. Which leaf gives which
+matrix depends only on a stage's local shape, and the arithmetic is the
+probability sums. One ``reliability_qb2`` call keeps the leaf matrices
+in a local dict keyed by shape, so on a long chain of like stages each
+shape is walked once and every stage redoes only its sums, in the same
+order as before. Folds keep nothing: each product is worked out again
+from the bits of its pair. Nothing outlives the call, and
+``tabulate_stage`` starts from an empty dict.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import repeat
-from operator import add, mul, or_
+from operator import add, mul
 
 from .bat import (
     DEFAULT_ENUMERATION_CAP,
@@ -358,69 +356,37 @@ def _tabulate(
     return pooled, discarded
 
 
-def _fold(acc, stage, stage_shape, plans, counters) -> dict[int, float]:
+def _fold(acc, stage, cols, counters) -> dict[int, float]:
     """Fold one pooled stage into the pooled one-row accumulator, by bits.
 
-    ``acc`` and ``stage`` map matrix bits to mass, the stage's shape is
-    (rows, cols), and the accumulator is one row of ``rows`` entries; the
-    result maps each nonzero product's bits to its mass. Which pairs give
-    which products depends only on the stage's shape and the bits of both
-    tables in order, so ``plans`` maps that key to its plan
-    (``_fold_plan``) and a caller that passes one dict for many folds
-    (``reliability_qb2`` does, for one solve) plans each key once. Every
-    fold then visits the pairs accumulator-major in insertion order, skips
-    zero products before any probability work and adds
-    ``acc_mass * stage_mass`` to each nonzero product's bits: the sums,
-    their order and the counters are those of a product-by-product fold.
+    ``acc`` and ``stage`` map matrix bits to mass, and the stage matrices
+    are ``cols`` wide. Pairs are visited accumulator-major in insertion
+    order; each product is the OR of the stage rows that the accumulator's
+    bits select. Zero products are skipped before any probability work and
+    ``acc_mass * mass`` is added to each nonzero product's bits, so the
+    sums, their order and the counters are those of a product-by-product
+    fold.
     """
-    key = (stage_shape, tuple(acc), tuple(stage))
-    plan = plans.get(key)
-    if plan is None:
-        plan = plans[key] = _fold_plan(acc, stage, stage_shape)
-    products_by_acc, zeros = plan
-    stage_masses = stage.values()
+    mask = (1 << cols) - 1
     pooled: dict[int, float] = {}
     get = pooled.get
-    for acc_mass, products in zip(acc.values(), products_by_acc):
-        for out, mass in zip(products, stage_masses):
+    nonzero = 0
+    for acc_bits, acc_mass in acc.items():
+        for bits, mass in stage.items():
+            out = 0
+            select = acc_bits
+            while select:
+                if select & 1:
+                    out |= bits & mask
+                select >>= 1
+                bits >>= cols
             if out:
+                nonzero += 1
                 pooled[out] = get(out, 0.0) + acc_mass * mass
-    pairs = len(acc) * len(stage)
-    counters.convolution_products += pairs
-    counters.multiplications += pairs - zeros
-    counters.summations += pairs - zeros - len(pooled)
+    counters.convolution_products += len(acc) * len(stage)
+    counters.multiplications += nonzero
+    counters.summations += nonzero - len(pooled)
     return pooled
-
-
-def _fold_plan(acc, stage, stage_shape) -> tuple[list, int]:
-    """Every product of a fold, by accumulator matrix, and the zero count.
-
-    Returns (products_by_acc, zeros): entry i lists the bits of accumulator
-    matrix i's product with each stage matrix in insertion order, or is
-    empty when every such product is zero. Each stage matrix's rows are
-    unpacked once; the one-row accumulator's product with a stage matrix
-    is the OR of the stage rows its bits select, taken for every stage
-    matrix at once.
-    """
-    rows, cols = stage_shape
-    mask = (1 << cols) - 1
-    # stage_rows[h]: row h of every stage matrix
-    stage_rows = [[bits >> h * cols & mask for bits in stage] for h in range(rows)]
-    products_by_acc = []
-    zeros = 0
-    for acc_bits in acc:
-        products = None
-        for rows_h in stage_rows:
-            if acc_bits & 1:
-                products = rows_h if products is None else list(map(or_, products, rows_h))
-            acc_bits >>= 1
-        if products is None:  # the all-zero accumulator selects nothing
-            zeros += len(stage)
-            products = ()
-        else:
-            zeros += products.count(0)
-        products_by_acc.append(products)
-    return products_by_acc, zeros
 
 
 def convolve_sets(
@@ -432,17 +398,16 @@ def convolve_sets(
 
     Every accumulator/stage pair is convolved; zero products are dropped
     before any probability work, and equal results pool their mass by
-    matrix bits. The stage's rows are unpacked once per fold, not once
-    per product. Raises ValueError unless the accumulator is one row as
+    matrix bits. Raises ValueError unless the accumulator is one row as
     wide as the stage has rows.
     """
-    shape = (stage_set.rows, stage_set.cols)
     if (acc.rows, acc.cols) != (1, stage_set.rows):
         raise ValueError(
-            f"cannot convolve {acc.rows}x{acc.cols} with {shape[0]}x{shape[1]}: "
+            f"cannot convolve {acc.rows}x{acc.cols} with "
+            f"{stage_set.rows}x{stage_set.cols}: "
             "the accumulator must be one row as wide as the stage has rows"
         )
-    pooled = _fold(acc.pooled, stage_set.pooled, shape, {}, counters or Counters())
+    pooled = _fold(acc.pooled, stage_set.pooled, stage_set.cols, counters or Counters())
     return WeightedStmSet(1, stage_set.cols, pooled)
 
 
@@ -455,11 +420,10 @@ def reliability_qb2(
     into the accumulator, with pooling after each fold (``_fold``); the
     budget is checked once per stage, in ``_tabulate``. Returns the total
     mass of the surviving final matrices, which are all the 1x1 connected
-    matrix. Both steps pool by matrix bits in plain dicts, and each fold
-    unpacks its stage matrices' rows once; no matrix object is built.
-    The walks of stage shapes and the fold plans are kept in two dicts
-    local to this call, so like stages and like folds share them and
-    only redo their probability sums.
+    matrix. Both steps pool by matrix bits in plain dicts; no matrix
+    object is built. The walks of stage shapes are kept in a dict local
+    to this call, so like stages share them and only redo their
+    probability sums.
     Summation order is fixed (stage order, enumeration order within a
     stage, insertion order in folds) so repeated solves are bit-identical.
     A stage wider than DEFAULT_ENUMERATION_CAP arcs raises
@@ -478,7 +442,6 @@ def reliability_qb2(
             f"{DEFAULT_ENUMERATION_CAP}; its 2^{width} vectors are not enumerated",
         )
     walks: dict = {}
-    plans: dict = {}
     acc = None
     for stage in stages:
         pooled, _ = _tabulate(network, stage, budget, counters, walks)
@@ -486,8 +449,7 @@ def reliability_qb2(
         if acc is None:  # stage 1 has one source: a one-row accumulator
             acc = pooled
             continue
-        shape = (len(stage.source_nodes), len(stage.target_nodes))
-        acc = _fold(acc, pooled, shape, plans, counters)
+        acc = _fold(acc, pooled, len(stage.target_nodes), counters)
         counters.fold_stm_counts.append(len(acc))
     total = 0.0
     for mass in acc.values():

@@ -40,10 +40,24 @@ def run_cli(argv, capsys):
         (0.0, "0.000000000"),
         (0.99999999997, "1.000000000"),
         (0.0999999999996, "0.1000000000"),
+        (1e-300, "1.000000000e-300"),
+        (0.00001234567891, "1.234567891e-05"),
     ],
 )
 def test_format_reliability_keeps_ten_significant_digits(value, text):
     assert format_reliability(value) == text
+
+
+def test_compute_prints_a_tiny_reliability_in_exponent_form(tmp_path, capsys):
+    code, out, _ = run_cli(
+        ["generate", "--family", "series", "--k", "1000", "--p", "0.5"], capsys
+    )
+    assert code == 0
+    path = tmp_path / "series.net"
+    path.write_text(out)
+    code, out, _ = run_cli(["compute", str(path)], capsys)
+    assert code == 0
+    assert out == "9.332636185e-302\n"
 
 
 def test_compute_default_backend(example_file, capsys):
@@ -437,6 +451,19 @@ def test_bench_rejects_unknown_backend(capsys):
     assert "unknown backend" in err
 
 
+def test_bench_rejects_a_repeated_backend(capsys):
+    code, out, err = run_cli(
+        [
+            "bench", "--family", "series", "--k-min", "1", "--k-max", "1",
+            "--p", "0.5", "--backends", "qb2,oracle,qb2",
+        ],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "relengine: backend 'qb2' given twice\n"
+
+
 @pytest.mark.parametrize("budget", ["0", "-1", "nan", "soon"])
 def test_bench_rejects_bad_budget(budget):
     with pytest.raises(SystemExit) as err:
@@ -489,15 +516,20 @@ def test_generate_rejects_bad_size(capsys):
     assert "at least 1" in err
 
 
-@pytest.mark.parametrize("command", ["generate", "crosscheck"])
+@pytest.mark.parametrize("command", ["generate", "crosscheck", "bench"])
 @pytest.mark.parametrize("p", ["1.5", "nan"])
 def test_generator_commands_reject_bad_probability(capsys, command, p):
-    code, out, err = run_cli(
-        [command, "--family", "series", "--k", "2", "--p", p], capsys
-    )
+    size = ["--k-min", "2", "--k-max", "2"] if command == "bench" else ["--k", "2"]
+    argv = [command, "--family", "series", *size, "--p", p]
+    code, out, err = run_cli(argv, capsys)
     assert code == 1
     assert out == ""
     assert err == f"relengine: arc 1 probability {p} outside [0, 1]\n"
+    # a seed draws every arc's probability, but p must still be one
+    code, out, err = run_cli(argv + ["--seed", "1"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"relengine: probability p={p} outside [0, 1]\n"
 
 
 def test_parser_lists_all_subcommands():

@@ -240,6 +240,41 @@ def test_convolve_sets_orthogonal_supports_vanish():
     assert sum(out.entries.values()) == 0.0
 
 
+def test_convolve_sets_matches_per_pair_reference():
+    # the accumulator holds matrix 0 too: its pairs are attempted, never
+    # multiplied
+    acc = WeightedStmSet(1, 2, {0: 0.25, 0b01: 0.25, 0b11: 0.5})
+    stage_masses = {
+        M([[1, 0], [0, 1]]): 0.125,
+        M([[0, 0], [1, 1]]): 0.25,
+        M([[0, 1], [0, 0]]): 0.0625,
+        M([[1, 1], [1, 0]]): 0.375,
+        M([[0, 0], [0, 1]]): 0.1875,
+    }
+    stage = WeightedStmSet(2, 2, {m.bits: mass for m, mass in stage_masses.items()})
+    want = {}
+    want_counters = Counters()
+    for acc_bits, acc_mass in acc.pooled.items():
+        for matrix, mass in stage_masses.items():
+            product = stm_convolve(SourceTargetMatrix(1, 2, acc_bits), matrix)
+            want_counters.convolution_products += 1
+            if product.bits == 0:
+                continue
+            want_counters.multiplications += 1
+            if product.bits in want:
+                want[product.bits] += acc_mass * mass
+                want_counters.summations += 1
+            else:
+                want[product.bits] = acc_mass * mass
+    counters = Counters()
+    got = convolve_sets(acc, stage, counters)
+    assert (got.rows, got.cols) == (1, 2)
+    assert list(got.pooled) == list(want) == [0b01, 0b10, 0b11]
+    assert [m.hex() for m in got.pooled.values()] == [m.hex() for m in want.values()]
+    assert counters == want_counters
+    assert (counters.convolution_products, counters.multiplications) == (15, 8)
+
+
 def test_qb2_on_example(example_uniform, example_mixed):
     r, counters = reliability_qb2(example_uniform)
     assert r == pytest.approx(0.9781803, abs=1e-12)
@@ -427,31 +462,23 @@ def test_qb2_builds_no_matrix_objects(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "family, k, shapes, fold_keys",
-    [("series", 300, 1, 1), ("ladder", 50, 5, 4), ("bridge-chain", 32, 4, 3)],
+    "family, k, shapes",
+    [("series", 300, 1), ("ladder", 50, 5), ("bridge-chain", 32, 4)],
 )
-def test_qb2_walks_each_stage_shape_and_plans_each_fold_once(
-    monkeypatch, family, k, shapes, fold_keys
-):
+def test_qb2_walks_each_stage_shape_once(monkeypatch, family, k, shapes):
     net = build(GeneratorSpec(family, k, 0.9, seed=k))
     stages = decompose(net).stages
-    walks, plans = [], []
-    walk, fold_plan = stm._walk, stm._fold_plan
+    walks = []
+    walk = stm._walk
 
     def counting_walk(*args):
         walks.append(args)
         return walk(*args)
 
-    def counting_plan(acc, stage, stage_shape):
-        plans.append((stage_shape, tuple(acc), tuple(stage)))
-        return fold_plan(acc, stage, stage_shape)
-
     monkeypatch.setattr("relengine.stm._walk", counting_walk)
-    monkeypatch.setattr("relengine.stm._fold_plan", counting_plan)
     r, counters = reliability_qb2(net)
     assert len(stages) >= k
     assert len(walks) == shapes
-    assert len(plans) == len(set(plans)) == fold_keys
     want, want_counters = reference_fold(net)
     assert (r.hex(), counters) == (want.hex(), want_counters)
 
