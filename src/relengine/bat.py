@@ -4,17 +4,32 @@ A state vector over m arcs is stored as an integer bitmask with arc 1 on
 the least significant bit. The enumeration successor rule (flip the first
 zero coordinate, clear everything below it) is then exactly integer
 increment, so the k-th vector of the enumeration encodes k - 1 and the
-oracle's sweep is ``range(2^m)``.
+oracle's sum runs over ``range(2^m)``. Each vector's probability is
+``low[lb] * high[hb]``, the product of two half-width table entries
+(``half_probability_tables``), and the oracle's sweep splits at the same
+place: for each high leaf hb, in increasing order, the partition its arcs
+induce on the low arcs' endpoints and the two terminals decides which low
+leaves lb connect, so each such partition is swept over the low half once
+(while a bounded memo has room) and every later high leaf that induces it
+reuses the answer. Connected vectors are still added one by one in
+integer order, so the sum is bit-identical to a per-vector sweep.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from functools import reduce
+from itertools import compress, repeat
+from operator import add, mul
 
 from .budget import STRIDE, Budget
 from .network import Network
 
 DEFAULT_ENUMERATION_CAP = 30
+# Selector bytes one oracle call keeps (1 MiB; uncapped, a 30-arc network
+# could store 2^30); past this, a new key's low half is swept again at each
+# of its high leaves.
+_MEMO_BYTES = 1 << 20
 
 
 class EnumerationCapExceeded(RuntimeError):
@@ -53,29 +68,14 @@ def _table(probs: Sequence[float]) -> list[float]:
     return out
 
 
-def reliability_oracle(network: Network, budget: Budget | None = None) -> float:
-    """Ground-truth reliability: sum the probability of every connected vector.
+def _roots(base, arc_u, arc_v, count, nodes):
+    """Yield the roots of `nodes` under each vector of range(count), in order.
 
-    Deliberately self-contained (its own union-find, its own loop) so the
-    smarter backends are validated against an independent implementation.
-    A network of more than DEFAULT_ENUMERATION_CAP arcs raises
-    EnumerationCapExceeded before any vector is enumerated.
+    Every vector starts from a fresh copy of the forest `base` and unions
+    the arcs set in its bits (arc k on bit k), linking root to root with
+    no ranks and no path compression.
     """
-    if network.arc_count > DEFAULT_ENUMERATION_CAP:
-        raise EnumerationCapExceeded(network.arc_count)
-    n = network.node_count
-    m = network.arc_count
-    if n == 1:
-        return 1.0
-    arc_u = [a.u for a in network.arcs]
-    arc_v = [a.v for a in network.arcs]
-    low, high, shift = half_probability_tables(network.probabilities())
-    low_mask = (1 << shift) - 1
-    base = list(range(n + 1))
-    total = 0.0
-    for bits in range(1 << m):
-        if budget is not None and bits % STRIDE == 0:
-            budget.check()
+    for bits in range(count):
         parent = base.copy()
         msk = bits
         while msk:
@@ -90,12 +90,80 @@ def reliability_oracle(network: Network, budget: Budget | None = None) -> float:
                 y = parent[y]
             if x != y:
                 parent[x] = y
-        x = 1
-        while parent[x] != x:
-            x = parent[x]
-        y = n
-        while parent[y] != y:
-            y = parent[y]
-        if x == y:
-            total += low[bits & low_mask] * high[bits >> shift]
+        roots = []
+        for x in nodes:
+            while parent[x] != x:
+                x = parent[x]
+            roots.append(x)
+        yield roots
+
+
+def reliability_oracle(network: Network, budget: Budget | None = None) -> float:
+    """Ground-truth reliability: sum the probability of every connected vector.
+
+    Deliberately self-contained (its own union-find, its own loops; of
+    relengine it imports only ``budget`` and ``network``) so the smarter
+    backends are validated against an independent implementation. The
+    split below shares the idea of qb2's keyed tabulation but none of its
+    code: each vector is still unioned from scratch, one at a time. A
+    network of more than DEFAULT_ENUMERATION_CAP arcs raises
+    EnumerationCapExceeded before any table is built.
+
+    Vector ``bits`` is the high leaf ``hb = bits >> shift`` over arcs
+    shift..m-1 and the low leaf ``lb = bits & (2^shift - 1)`` over arcs
+    0..shift-1, split where ``half_probability_tables`` splits. Each high
+    leaf, in increasing order, unions its set arcs on a fresh forest and
+    reads its key over the interface, the sorted endpoints of the low arcs
+    with node 1 and node n: for each interface node, the position of the
+    first interface node in its set. The key is enough. Under high arcs H
+    and low arcs L, a source-sink path alternates between components of H
+    and arcs of L, so it enters or leaves a component of H only at an
+    endpoint of a low arc, or starts or ends in one at node 1 or node n.
+    Whether node 1 meets node n thus depends on H only through the
+    partition H induces on the interface. The first time a key is seen,
+    every low leaf is unioned on the key, read as a parent list over
+    interface positions, and gives one selector byte: 1 when node 1 meets
+    node n.
+
+    Selectors are kept per key until _MEMO_BYTES are stored; a key first
+    seen past that is swept again at each of its high leaves. Each high
+    leaf adds ``low[lb] * high[hb]`` for its selected lb in increasing
+    order, so the answer is the same sum, in the same order, as a
+    per-vector sweep over ``range(2^m)``, bit for bit. A budget is checked
+    at every high leaf whose first vector ``hb << shift`` is a multiple of
+    budget.STRIDE: every STRIDE vectors up to 25 arcs, every high leaf
+    from 26.
+    """
+    if network.arc_count > DEFAULT_ENUMERATION_CAP:
+        raise EnumerationCapExceeded(network.arc_count)
+    n = network.node_count
+    m = network.arc_count
+    if n == 1:
+        return 1.0
+    arc_u = [a.u for a in network.arcs]
+    arc_v = [a.v for a in network.arcs]
+    low, high, shift = half_probability_tables(network.probabilities())
+    interface = sorted({1, n, *arc_u[:shift], *arc_v[:shift]})
+    at = {node: i for i, node in enumerate(interface)}
+    low_u = [at[x] for x in arc_u[:shift]]
+    low_v = [at[x] for x in arc_v[:shift]]
+    ends = (at[1], at[n])
+    highs = _roots(
+        list(range(n + 1)), arc_u[shift:], arc_v[shift:], 1 << (m - shift), interface
+    )
+    memo: dict[tuple[int, ...], bytes] = {}
+    total = 0.0
+    for hb, roots in enumerate(highs):
+        if budget is not None and (hb << shift) % STRIDE == 0:
+            budget.check()
+        first: dict[int, int] = {}
+        key = tuple([first.setdefault(r, i) for i, r in enumerate(roots)])
+        selectors = memo.get(key)
+        if selectors is None:
+            lows = _roots(list(key), low_u, low_v, 1 << shift, ends)
+            selectors = bytes([s == t for s, t in lows])
+            if (len(memo) + 1) << shift <= _MEMO_BYTES:
+                memo[key] = selectors
+        # select before multiplying: a leaf that fails costs no product
+        total = reduce(add, map(mul, compress(low, selectors), repeat(high[hb])), total)
     return total

@@ -194,8 +194,9 @@ def _cmd_generate(args) -> int:
     network = _build_network(args)
     if network is None:
         return EXIT_INVALID_INPUT
-    seed_note = "" if args.seed is None else f" seed={args.seed}"
-    comment = f"family={args.family} k={args.k} p={args.p!r}{seed_note}"
+    # with a seed every arc's probability is drawn, so p names none of them
+    draw = f"p={args.p!r}" if args.seed is None else f"seed={args.seed}"
+    comment = f"family={args.family} k={args.k} {draw}"
     sys.stdout.write(format_network(network, comment=comment))
     return EXIT_OK
 

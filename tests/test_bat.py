@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 
@@ -11,7 +12,7 @@ from relengine.bat import (
     reliability_oracle,
 )
 from relengine.budget import Budget, BudgetExceeded
-from relengine.generators import GeneratorSpec, build
+from relengine.generators import FAMILIES, GeneratorSpec, build, random_network
 from relengine.network import make_network
 
 from vectors import bits_from_states, is_connected
@@ -127,3 +128,68 @@ def test_deterministic_arc_probability_pins_reliability():
     # p=0 on the only bridge kills the network.
     net = make_network(3, [(1, 2, 0.0), (2, 3, 0.5)])
     assert reliability_oracle(net) == pytest.approx(0.0, abs=0)
+
+
+def per_vector_oracle(net):
+    """The oracle as one sweep over range(2^m), one connectivity test a vector."""
+    low, high, shift = half_probability_tables(net.probabilities())
+    mask = (1 << shift) - 1
+    total = 0.0
+    for bits in range(1 << net.arc_count):
+        if is_connected(net, bits):
+            total += low[bits & mask] * high[bits >> shift]
+    return total
+
+
+@functools.cache
+def swept_networks():
+    """Seeded random networks of 1-16 arcs and small family members, each
+    with its per-vector answer in float.hex."""
+    rng = random.Random(18)
+    nets = [random_network(rng, (2, 7), (1, 16)) for _ in range(300)]
+    nets += [
+        build(GeneratorSpec(family, k, 0.9, seed=k))
+        for family in FAMILIES
+        for k in (1, 2, 3)
+        if family != "bridge-chain" or k < 3  # 21 arcs
+    ]
+    assert {net.arc_count for net in nets} == set(range(1, 17))
+    return [(net, per_vector_oracle(net).hex()) for net in nets]
+
+
+def test_oracle_is_bit_identical_to_per_vector_sweep():
+    for net, want in swept_networks():
+        assert reliability_oracle(net).hex() == want
+
+
+@pytest.mark.parametrize("memo_bytes", [0, 300])
+def test_oracle_with_bounded_memo_is_bit_identical(monkeypatch, memo_bytes):
+    # 0: every high leaf unions its low half again; 300: the first keys
+    # (of at most 64 bytes up to 12 arcs) are stored and later ones
+    # rebuilt, side by side in one sweep
+    monkeypatch.setattr("relengine.bat._MEMO_BYTES", memo_bytes)
+    for net, want in swept_networks():
+        if net.arc_count <= 12:
+            assert reliability_oracle(net).hex() == want
+
+
+class CountingBudget:
+    def __init__(self):
+        self.calls = 0
+
+    def check(self):
+        self.calls += 1
+
+
+def test_oracle_checks_budget_once_per_stride(monkeypatch):
+    net = random_network(random.Random(2), (6, 9), (13, 13))
+    assert net.arc_count == 13  # shift 6: 128 high leaves of 64 vectors
+    budget = CountingBudget()
+    reliability_oracle(net, budget)
+    assert budget.calls == 2  # at vectors 0 and 4096
+    # a stride below 2^shift puts a check at every high leaf, as
+    # budget.STRIDE does from 26 arcs on
+    monkeypatch.setattr("relengine.bat.STRIDE", 16)
+    budget = CountingBudget()
+    reliability_oracle(net, budget)
+    assert budget.calls == 128

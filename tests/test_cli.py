@@ -506,6 +506,8 @@ def test_generate_is_byte_identical(capsys):
     second = run_cli(argv, capsys)
     assert first == second
     assert "seed=7" in first[1]
+    comment = next(line for line in first[1].splitlines() if line.startswith("#"))
+    assert "p=" not in comment
 
 
 def test_generate_rejects_bad_size(capsys):

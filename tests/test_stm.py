@@ -321,6 +321,14 @@ def test_qb2_exact_on_bridge_chain_above_the_cap(k):
     assert r == pytest.approx(want, rel=1e-10, abs=0)
 
 
+@pytest.mark.parametrize("family, k", [("grid", 5), ("ladder", 7), ("bridge-chain", 3)])
+def test_qb2_matches_oracle_on_21_to_23_arcs(family, k):
+    net = build(GeneratorSpec(family, k, 0.9, seed=k))
+    assert 21 <= net.arc_count <= 23
+    r, _ = reliability_qb2(net)
+    assert abs(r - reliability_oracle(net)) <= 1e-10
+
+
 def test_qb2_single_node():
     r, counters = reliability_qb2(make_network(1, []))
     assert r == 1.0
