@@ -89,10 +89,18 @@ def main(argv=None) -> int:
     ]
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)
-        programs = {
-            side: load(root, f"relengine_{side}", Path(tmp)) for side, root in roots.items()
-        }
-        return compare(programs, instances, args)
+        try:
+            programs = {
+                side: load(root, f"relengine_{side}", Path(tmp))
+                for side, root in roots.items()
+            }
+            return compare(programs, instances, args)
+        finally:
+            # forget both copies, so a later call in this process loads its own
+            sys.path.remove(tmp)
+            for name in list(sys.modules):
+                if name.startswith(tuple(f"relengine_{side}" for side in SIDES)):
+                    del sys.modules[name]
 
 
 def compare(programs: dict, instances: list, args) -> int:

@@ -13,8 +13,13 @@ moment its prefix is connected, because a connected prefix certifies
 every completion connected.
 
 The walk is one loop over an explicit stack of prefix frames, so the
-recursion limit does not bound the arc count. Popping a frame rolls the
-undo-trail union-find back to the trail length it was pushed with.
+recursion limit does not bound the arc count. Only 1-branches are
+pushed: clearing an arc changes neither the prefix's value nor its
+forest, so each popped frame's chain of 0-branches is walked in place.
+The walk keeps its own undo-trail union-find inline (union by size, no
+path compression): popping a frame rolls the trail back to the length it
+was pushed with, then merges the frame's arc and tests the source and
+sink roots only if the arc joined two sets.
 
 This backend is kept as the quick-BAT baseline that the paper compares
 QB-II against, whether or not it wins a benchmark row.
@@ -27,7 +32,7 @@ from dataclasses import dataclass
 from . import graphops
 from .budget import STRIDE, Budget
 from .network import Network
-from .unionfind import find, merge, root, undo, union
+from .unionfind import find, union
 
 
 @dataclass
@@ -137,6 +142,7 @@ def reliability_quick_bat(
     probs = network.probabilities()
     arc_u = [a.u for a in network.arcs]
     arc_v = [a.v for a in network.arcs]
+    fail = [1.0 - p for p in probs]
 
     # Union by size with an undo trail of real merges and no path
     # compression, so backtracking costs O(1) per merge made inside a prefix.
@@ -144,42 +150,72 @@ def reliability_quick_bat(
     size = [1] * (n + 1)
     trail: list[int] = []
 
-    full_span = 1 << m
     total = 0.0
     visited = accepted = checks = 0
-    # Frames (k, value, prob, connected, trail_mark); the 1-branch is pushed
-    # before the 0-branch, so frames pop in depth-first, 0-branch-first order.
-    # connected is None on the 1-branch of a disconnected prefix: arc k-1
-    # joins the union-find when the frame pops, and is checked then.
-    stack = [(0, 0, 1.0, False, 0)]
+    # Frames (k, value, top, prob, connected, trail_mark) are 1-branches
+    # only: a frame's 0-branch is walked in place right after it, so frames
+    # pop in depth-first, 0-branch-first order. top = value + 2^m - 2^k is
+    # the largest completion; a 1-branch keeps its parent's, a 0-branch
+    # lowers it by 2^k, so no list of m-bit constants is built. connected
+    # is None on the 1-branch of a disconnected prefix: arc k-1 joins the
+    # union-find when the frame pops, and is checked then.
+    stack = [(0, 0, (1 << m) - 1, 1.0, False, 0)]
+    push = stack.append
     while stack:
-        k, value, prob, connected, mark = stack.pop()
-        if len(trail) > mark:  # most pops have nothing to roll back
-            undo(parent, size, trail, mark)
+        k, value, top, prob, connected, mark = stack.pop()
+        while len(trail) > mark:  # roll back the merges made below mark
+            x = trail.pop()
+            size[parent[x]] -= size[x]
+            parent[x] = x
         if connected is None:
-            merge(parent, size, trail, arc_u[k - 1], arc_v[k - 1])
             checks += 1
-            connected = root(parent, 1) == root(parent, n)
-        visited += 1
-        if budget is not None and visited % STRIDE == 0:
-            budget.check()
-        if value > hi:
-            continue  # every completion lies in the tail zone
-        top = value + full_span - (1 << k)
-        if top < lo:
-            continue  # every completion precedes the first connected vector
-        if connected and top <= hi:
-            total += prob
-            accepted += 1
-            continue
-        if k == m:
-            continue
-        # split the prefix; a connected one straddles the tail boundary,
-        # and its children stay connected without rechecking
+            x = arc_u[k - 1]
+            while parent[x] != x:
+                x = parent[x]
+            y = arc_v[k - 1]
+            while parent[y] != y:
+                y = parent[y]
+            # an arc inside one set leaves the prefix disconnected
+            connected = False
+            if x != y:
+                if size[x] > size[y]:
+                    x, y = y, x
+                parent[x] = y
+                size[y] += size[x]
+                trail.append(x)
+                x = 1
+                while parent[x] != x:
+                    x = parent[x]
+                y = n
+                while parent[y] != y:
+                    y = parent[y]
+                connected = x == y
         mark = len(trail)
         joined = True if connected else None
-        stack.append((k + 1, value + (1 << k), prob * probs[k], joined, mark))
-        stack.append((k + 1, value, prob * (1.0 - probs[k]), connected, mark))
+        bit = 1 << k
+        # the frame, then its chain of 0-branches: clearing arc k keeps the
+        # value and the forest, so only k, bit, top and the probability move
+        while True:
+            visited += 1
+            if budget is not None and visited % STRIDE == 0:
+                budget.check()
+            if value > hi:
+                break  # every completion lies in the tail zone
+            if top < lo:
+                break  # every completion precedes the first connected vector
+            if connected and top <= hi:
+                total += prob
+                accepted += 1
+                break
+            if k == m:
+                break
+            # split the prefix; a connected one straddles the tail boundary,
+            # and its children stay connected without rechecking
+            push((k + 1, value + bit, top, prob * probs[k], joined, mark))
+            prob *= fail[k]
+            top -= bit
+            bit <<= 1
+            k += 1
     if stats is not None:
         zeros = m - hi.bit_count()
         stats.super_vectors += accepted

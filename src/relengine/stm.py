@@ -43,7 +43,7 @@ from .bat import (
 from .budget import STRIDE, Budget
 from .decompose import Stage, decompose
 from .network import Network
-from .unionfind import find, merge, undo, union
+from .unionfind import find, union
 
 # Below this many low arcs (at most 8 low leaves per high leaf) a key
 # costs more than the low walk it saves, so the stage is walked whole.
@@ -189,10 +189,23 @@ def _walk(parent, size, arc_u, arc_v, lo, hi, nodes, targets=None) -> list:
     stack = [(hi, 0)]
     while stack:
         k, mark = stack.pop()
-        if len(trail) > mark:  # most pops have nothing to roll back
-            undo(parent, size, trail, mark)
+        while len(trail) > mark:  # roll back the merges made below mark
+            x = trail.pop()
+            size[parent[x]] -= size[x]
+            parent[x] = x
         if k < hi:
-            merge(parent, size, trail, arc_u[k], arc_v[k])
+            x = arc_u[k]
+            while parent[x] != x:
+                x = parent[x]
+            y = arc_v[k]
+            while parent[y] != y:
+                y = parent[y]
+            if x != y:
+                if size[x] > size[y]:
+                    x, y = y, x
+                parent[x] = y
+                size[y] += size[x]
+                trail.append(x)
         # follow the 0-branches down to the leaf, leaving each 1-branch
         # on the stack; open arcs merge nothing, so they share one mark
         mark = len(trail)

@@ -2,10 +2,12 @@
 
 The caller owns the list (``parent = list(range(size))``), so a fresh
 forest costs one list copy and the hot loops pay no attribute lookups.
-``find`` and ``union`` compress paths; the depth-first walks instead use
-``root``, ``merge`` and ``undo``, which keep union by size and a trail of
-real merges, so backtracking rolls the forest back without compression
-having moved any node.
+``find`` and ``union`` compress paths, and serve the landmarks, the
+per-vector matrices and network validation. The two depth-first walks
+(``quickbat.reliability_quick_bat`` and ``stm._walk``) cannot compress:
+they keep union by size and a trail of real merges, so backtracking
+rolls the forest back, and each does so inline in its loop, because a
+function call per root walk costs more than the walk itself.
 """
 
 from __future__ import annotations
@@ -26,32 +28,3 @@ def union(parent: list[int], x: int, y: int) -> bool:
         return False
     parent[rx] = ry
     return True
-
-
-def root(parent: list[int], x: int) -> int:
-    """Root of x's set, leaving the path as it is so merges can be undone."""
-    while parent[x] != x:
-        x = parent[x]
-    return x
-
-
-def merge(
-    parent: list[int], size: list[int], trail: list[int], x: int, y: int
-) -> None:
-    """Union by size of x's and y's sets, recording a real merge on trail."""
-    rx, ry = root(parent, x), root(parent, y)
-    if rx == ry:
-        return
-    if size[rx] > size[ry]:
-        rx, ry = ry, rx
-    parent[rx] = ry
-    size[ry] += size[rx]
-    trail.append(rx)
-
-
-def undo(parent: list[int], size: list[int], trail: list[int], mark: int) -> None:
-    """Roll back the merges recorded on trail past position mark."""
-    while len(trail) > mark:
-        rx = trail.pop()
-        size[parent[rx]] -= size[rx]
-        parent[rx] = rx

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from relengine.bat import reliability_oracle
-from relengine.budget import Budget, BudgetExceeded
-from relengine.generators import GeneratorSpec, build, random_network
+from relengine.budget import STRIDE, Budget, BudgetExceeded
+from relengine.generators import FAMILIES, GeneratorSpec, build, random_network
 from relengine.network import make_network
 from relengine.quickbat import (
     QuickBatStats,
@@ -69,6 +69,19 @@ def test_walk_on_long_path_does_not_recurse():
     net = build(GeneratorSpec("series", 1500, 0.9))
     expected = math.prod(net.probabilities())
     assert reliability_quick_bat(net) == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+def test_walk_on_long_path_stays_small():
+    # the walk keeps O(m) words of state: per-arc lists of 2^k and
+    # 2^m - 2^k would hold about 1.5 m^2 bits, a traced 80 MiB here
+    net = build(GeneratorSpec("series", 20000, 0.9))
+    tracemalloc.start()
+    try:
+        reliability_quick_bat(net)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def landmark_sweep(net):
@@ -206,7 +219,131 @@ def test_stats_counts_on_example(example_uniform):
         ("ladder", 4, (1592, 15671, 31364, 1594)),
         ("bridge-chain", 2, (2242, 15144, 30310, 2244)),
         ("grid", 3, (648, 3603, 7240, 650)),
+        ("grid", 4, (15156, 117280, 234599, 15158)),
     ]:
         stats = QuickBatStats()
         reliability_quick_bat(build(GeneratorSpec(family, k, 0.9)), stats=stats)
         assert tuple(stats.as_dict().values()) == counts, (family, k)
+
+
+@pytest.mark.parametrize(
+    "family, k, p, want",
+    [
+        ("grid", 4, 0.9, "0x1.f1f7be2262508p-1"),
+        ("ladder", 4, 0.9, "0x1.e381e87aa1825p-1"),
+        ("bridge-chain", 2, 0.9, "0x1.e9e67ff6481b4p-1"),
+        ("series", 600, 0.999, "0x1.18e83f59674b2p-1"),
+    ],
+)
+def test_quick_bat_bits_are_pinned(family, k, p, want):
+    assert reliability_quick_bat(build(GeneratorSpec(family, k, p))).hex() == want
+
+
+def per_frame_quick_bat(net):
+    """qbat's walk with one stack frame per prefix, 0-branches included.
+
+    Returns (reliability, stats, frames visited). It keeps its own
+    union-find with an undo trail, so it shares only the landmarks and
+    the tail with the backend.
+    """
+    n, m = net.node_count, net.arc_count
+    if n == 1:
+        return 1.0, QuickBatStats(), 0
+    lo, hi = first_connected(net), last_disconnected(net)
+    probs = net.probabilities()
+    parent = list(range(n + 1))
+    size = [1] * (n + 1)
+    trail = []
+
+    def root(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def merge(x, y):
+        rx, ry = root(x), root(y)
+        if rx != ry:
+            if size[rx] > size[ry]:
+                rx, ry = ry, rx
+            parent[rx] = ry
+            size[ry] += size[rx]
+            trail.append(rx)
+
+    def undo(mark):
+        while len(trail) > mark:
+            rx = trail.pop()
+            size[parent[rx]] -= size[rx]
+            parent[rx] = rx
+
+    total = 0.0
+    visited = accepted = checks = 0
+    # (k, value, prob, connected, trail mark); connected is None until the
+    # 1-branch of a disconnected prefix merges arc k-1 on popping
+    stack = [(0, 0, 1.0, False, 0)]
+    while stack:
+        k, value, prob, connected, mark = stack.pop()
+        undo(mark)
+        if connected is None:
+            a = net.arcs[k - 1]
+            merge(a.u, a.v)
+            checks += 1
+            connected = root(1) == root(n)
+        visited += 1
+        top = value + (1 << m) - (1 << k)
+        if value > hi or top < lo:
+            continue
+        if connected and top <= hi:
+            total += prob
+            accepted += 1
+            continue
+        if k == m:
+            continue
+        mark = len(trail)
+        stack.append(
+            (k + 1, value + (1 << k), prob * probs[k], True if connected else None, mark)
+        )
+        stack.append((k + 1, value, prob * (1.0 - probs[k]), connected, mark))
+    zeros = m - hi.bit_count()
+    stats = QuickBatStats(accepted, checks, visited - 1 + m + zeros, accepted + zeros)
+    return total + tail_mass_above(probs, hi), stats, visited
+
+
+def referenced_networks():
+    rng = random.Random(19)
+    nets = [random_network(rng, (2, 7), (1, 16)) for _ in range(300)]
+    nets += [
+        build(GeneratorSpec(family, k, 0.9, seed=k))
+        for family in FAMILIES
+        for k in (1, 2, 3)
+        if family != "bridge-chain" or k < 3  # 21 arcs, 3 s per-frame
+    ]
+    return nets
+
+
+def test_walk_is_bit_identical_to_per_frame_walk():
+    for net in referenced_networks():
+        want, want_stats, _ = per_frame_quick_bat(net)
+        stats = QuickBatStats()
+        assert reliability_quick_bat(net, stats=stats).hex() == want.hex()
+        assert stats.as_dict() == want_stats.as_dict()
+
+
+class CountingBudget:
+    def __init__(self):
+        self.calls = 0
+
+    def check(self):
+        self.calls += 1
+
+
+@pytest.mark.parametrize(
+    "family, k, p, calls",
+    [("grid", 4, 0.9, 57), ("ladder", 4, 0.9, 7), ("series", 600, 0.999, 0)],
+)
+def test_budget_is_polled_once_per_stride_of_frames(family, k, p, calls):
+    # frames walked in place on a 0-branch count as much as popped ones
+    net = build(GeneratorSpec(family, k, p))
+    visited = per_frame_quick_bat(net)[2]
+    budget = CountingBudget()
+    reliability_quick_bat(net, budget=budget)
+    assert budget.calls == visited // STRIDE == calls
