@@ -11,8 +11,9 @@ place: for each high leaf hb, in increasing order, the partition its arcs
 induce on the low arcs' endpoints and the two terminals decides which low
 leaves lb connect, so each such partition is swept over the low half once
 (while a bounded memo has room) and every later high leaf that induces it
-reuses the answer. Connected vectors are still added one by one in
-integer order, so the sum is bit-identical to a per-vector sweep.
+reuses the low masses it selected. Connected vectors are still added one
+by one in integer order, so the sum is bit-identical to a per-vector
+sweep.
 """
 
 from __future__ import annotations
@@ -26,9 +27,10 @@ from .budget import STRIDE, Budget
 from .network import Network
 
 DEFAULT_ENUMERATION_CAP = 30
-# Selector bytes one oracle call keeps (1 MiB; uncapped, a 30-arc network
-# could store 2^30); past this, a new key's low half is swept again at each
-# of its high leaves.
+# Bytes one oracle call keeps of keys and their selected low masses, at 8
+# bytes a key slot or mass (1 MiB; uncapped, a 30-arc network could store
+# 2^30 masses, or 2^15 keys that select none); past this, a new key's low
+# half is swept again at each of its high leaves.
 _MEMO_BYTES = 1 << 20
 
 
@@ -122,14 +124,15 @@ def reliability_oracle(network: Network, budget: Budget | None = None) -> float:
     Whether node 1 meets node n thus depends on H only through the
     partition H induces on the interface. The first time a key is seen,
     every low leaf is unioned on the key, read as a parent list over
-    interface positions, and gives one selector byte: 1 when node 1 meets
-    node n.
+    interface positions, and the key keeps ``low[lb]`` for each leaf lb
+    in which node 1 meets node n, in increasing lb.
 
-    Selectors are kept per key until _MEMO_BYTES are stored; a key first
-    seen past that is swept again at each of its high leaves. Each high
-    leaf adds ``low[lb] * high[hb]`` for its selected lb in increasing
-    order, so the answer is the same sum, in the same order, as a
-    per-vector sweep over ``range(2^m)``, bit for bit. A budget is checked
+    Those selected masses are kept per key while _MEMO_BYTES (8 bytes a
+    key slot or mass) allow; a key that does not fit is swept again at
+    each of its high leaves. Each high leaf adds ``low[lb] * high[hb]``
+    for its selected lb in increasing order, so the answer is the same
+    sum, in the same order, as a per-vector sweep over ``range(2^m)``, bit
+    for bit, and a high leaf costs only its connected vectors. A budget is checked
     at every high leaf whose first vector ``hb << shift`` is a multiple of
     budget.STRIDE: every STRIDE vectors up to 25 arcs, every high leaf
     from 26.
@@ -151,19 +154,22 @@ def reliability_oracle(network: Network, budget: Budget | None = None) -> float:
     highs = _roots(
         list(range(n + 1)), arc_u[shift:], arc_v[shift:], 1 << (m - shift), interface
     )
-    memo: dict[tuple[int, ...], bytes] = {}
+    memo: dict[tuple[int, ...], list[float]] = {}
+    stored = 0
     total = 0.0
     for hb, roots in enumerate(highs):
         if budget is not None and (hb << shift) % STRIDE == 0:
             budget.check()
         first: dict[int, int] = {}
         key = tuple([first.setdefault(r, i) for i, r in enumerate(roots)])
-        selectors = memo.get(key)
-        if selectors is None:
+        chosen = memo.get(key)
+        if chosen is None:
             lows = _roots(list(key), low_u, low_v, 1 << shift, ends)
-            selectors = bytes([s == t for s, t in lows])
-            if (len(memo) + 1) << shift <= _MEMO_BYTES:
-                memo[key] = selectors
-        # select before multiplying: a leaf that fails costs no product
-        total = reduce(add, map(mul, compress(low, selectors), repeat(high[hb])), total)
+            chosen = list(compress(low, [s == t for s, t in lows]))
+            size = 8 * (len(key) + len(chosen))
+            if stored + size <= _MEMO_BYTES:
+                memo[key] = chosen
+                stored += size
+        # selected before multiplying: a leaf that fails costs no product
+        total = reduce(add, map(mul, chosen, repeat(high[hb])), total)
     return total

@@ -6,14 +6,16 @@ their probability. A stage is tabulated half by half, split where its
 probability tables split (``half_probability_tables``): a depth-first
 walk over the high arcs reaches each high leaf with the partition it
 induces on the interface (the low arcs' endpoints and the boundary
-nodes), and every high leaf with the same partition reuses one walk over
-the low arcs, kept as one table from matrix bits to its leaves. Masses
-are still added per vector in integer order, the order a per-vector
-sweep (``stm_from_vector`` over ``range(2^g)``) would use, so the tables
-are bit-identical to that sweep. Folding consecutive stages is a boolean
-max-min matrix product. Stage one has a single source node, so the
-accumulator is always one row, as wide as the next stage has rows: a
-product is the OR of the stage rows that the accumulator's bits select.
+nodes), and every high leaf with the same partition reuses one table
+from matrix bits to its low leaves. That table is worked out for all
+low leaves at once, one bit per leaf in Python ints, by relaxing reach
+across the low arcs (``_low_half``). Masses are still added per vector
+in integer order, the order a per-vector sweep (``stm_from_vector`` over
+``range(2^g)``) would use, so the tables are bit-identical to that
+sweep. Folding consecutive stages is a boolean max-min matrix product.
+Stage one has a single source node, so the accumulator is always one
+row, as wide as the next stage has rows: a product is the OR of the
+stage rows that the accumulator's bits select.
 ``reliability_qb2`` works on these plain ints and builds no matrix
 objects; ``tabulate_stage`` and ``convolve_sets`` wrap the same cores
 and return ``WeightedStmSet`` views of their results.
@@ -24,15 +26,16 @@ probability sums. One ``reliability_qb2`` call keeps the leaf matrices
 in a local dict keyed by shape, so on a long chain of like stages each
 shape is walked once and every stage redoes only its sums, in the same
 order as before. Folds keep nothing: each product is worked out again
-from the bits of its pair. Nothing outlives the call, and
-``tabulate_stage`` starts from an empty dict.
+from the bits of its pair. Nothing of a network outlives the call (the
+low arcs' leaf patterns, ``_arc_leaves``, depend on the shift alone),
+and ``tabulate_stage`` starts from an empty dict.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
-from itertools import repeat
+from functools import cache, reduce
+from itertools import compress, repeat
 from operator import add, mul
 
 from .bat import (
@@ -46,11 +49,13 @@ from .network import Network
 from .unionfind import find, union
 
 # Below this many low arcs (at most 8 low leaves per high leaf) a key
-# costs more than the low walk it saves, so the stage is walked whole.
+# costs more than the low work it saves, so the stage is walked whole.
 _KEYED_SHIFT = 4
 # Low-half leaves one stage tabulation keeps in its memo (about 8 MiB of
-# list slots); past this, a key's low half is walked again, not stored.
+# list slots); past this, a key's low half is worked out again, not stored.
 _MEMO_LEAVES = 1 << 20
+# The selector bytes of a byte of leaves: leaf k of the byte on byte k.
+_SELECTORS = [bytes([(b >> k) & 1 for k in range(8)]) for b in range(256)]
 
 
 @dataclass(frozen=True)
@@ -240,24 +245,83 @@ def _walk(parent, size, arc_u, arc_v, lo, hi, nodes, targets=None) -> list:
     return outs
 
 
+@cache
+def _arc_leaves(shift: int) -> tuple[int, ...]:
+    """For each low arc i < shift, the 2^shift-bit int of the leaves that set it.
+
+    Leaf j sets arc i when bit i of j is 1: runs of 2^i clear and 2^i
+    set bits, doubled out to 2^shift bits. The patterns depend on shift
+    alone, so they are built once per shift (at most 15 ints of 4 KiB).
+    """
+    out = []
+    for i in range(shift):
+        period = 2 << i
+        leaves = ((1 << (1 << i)) - 1) << (1 << i)
+        while period < 1 << shift:
+            leaves |= leaves << period
+            period <<= 1
+        out.append(leaves)
+    return tuple(out)
+
+
 def _low_half(key, low_u, low_v, shift, sources, targets, low) -> tuple[dict, int]:
     """The low half under one key, its leaves grouped by matrix.
 
-    Read as a parent list over the interface, the key is already a
-    forest of its partition. Returns (by_matrix, zeros): by_matrix maps
-    the bits of each matrix, in the order the matrices first appear, to
-    the low-table entries of its leaves in integer order; zeros counts
-    the leaves whose matrix is all zero.
+    The key gives each interface node its block: the position of the
+    first interface node in its set. Every low leaf is worked at once,
+    as one bit of a 2^shift-bit int (leaf j on bit j). For each source
+    block, reach[b] holds the leaves in which the source block reaches
+    block b: the source block starts at every leaf, and each low arc i
+    between two blocks passes reach across where it is set
+    (``_arc_leaves``) until nothing changes. A low arc inside one block
+    joins nothing and is dropped. Entry (r, c) of a leaf's matrix is
+    its bit in reach of source r at the block of target c, and the
+    entries split the leaves into groups of equal matrix.
+
+    Returns (by_matrix, zeros): by_matrix maps the bits of each matrix,
+    in the order of each group's lowest leaf (the order the matrices
+    first appear in integer order), to the low-table entries of its
+    leaves in integer order; zeros counts the leaves whose matrix is all
+    zero.
     """
-    size = [key.count(i) for i in range(len(key))]
-    outs = _walk(list(key), size, low_u, low_v, 0, shift, sources, targets)
-    by_matrix: dict[int, list[float]] = {}
-    for out, mass in zip(outs, low):
-        if out in by_matrix:
-            by_matrix[out].append(mass)
-        else:
-            by_matrix[out] = [mass]
-    return by_matrix, outs.count(0)
+    full = (1 << (1 << shift)) - 1
+    arcs = []
+    for u, v, leaves in zip(low_u, low_v, _arc_leaves(shift)):
+        if key[u] != key[v]:
+            arcs.append((key[u], key[v], leaves))
+    reaches: dict[int, list[int]] = {}
+    entries = []
+    for s in sources:
+        reach = reaches.get(key[s])
+        if reach is None:
+            reach = reaches[key[s]] = [0] * len(key)
+            reach[key[s]] = full
+            changed = True
+            while changed:
+                changed = False
+                for a, b, leaves in arcs:
+                    gain = (reach[a] ^ reach[b]) & leaves
+                    if gain:
+                        reach[a] |= gain
+                        reach[b] |= gain
+                        changed = True
+        entries.extend([reach[key[t]] for t in targets])
+    groups = {0: full}
+    for pos, entry in enumerate(entries):
+        split = {}
+        for out, leaves in groups.items():
+            on = leaves & entry
+            if on:
+                split[out | 1 << pos] = on
+            if on != leaves:
+                split[out] = leaves ^ on
+        groups = split
+    size = ((1 << shift) + 7) >> 3
+    by_matrix = {}
+    for out, leaves in sorted(groups.items(), key=lambda group: group[1] & -group[1]):
+        chunks = map(_SELECTORS.__getitem__, leaves.to_bytes(size, "little"))
+        by_matrix[out] = list(compress(low, b"".join(chunks)))
+    return by_matrix, groups.get(0, 0).bit_count()
 
 
 def tabulate_stage(
@@ -288,10 +352,10 @@ def _tabulate(
     increasing order and reads each one's key: the partition its arcs
     induce on the interface, which is the low arcs' endpoints and the
     source and target nodes. The key fixes the matrix of every low
-    completion j, so high leaves with equal keys share one inner walk over
-    the low arcs, one table from matrix bits to its leaves (``_low_half``)
-    kept in a per-stage memo of at most _MEMO_LEAVES leaves (past it, a
-    key's low half is walked again).
+    completion j, so high leaves with equal keys share one table from
+    matrix bits to their low leaves, worked out bit-sliced over every low
+    leaf at once (``_low_half``) and kept in a per-stage memo of at most
+    _MEMO_LEAVES leaves (past it, a key's low half is worked out again).
     Each high leaf adds ``low[j] * high[hb]`` to its matrix for j in
     increasing order, so every pooled mass is the same sum, in the same
     order, as a per-vector sweep over ``range(2^g)``: entries, their

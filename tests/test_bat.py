@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from relengine import bat
 from relengine.bat import (
     DEFAULT_ENUMERATION_CAP,
     EnumerationCapExceeded,
@@ -165,12 +166,42 @@ def test_oracle_is_bit_identical_to_per_vector_sweep():
 @pytest.mark.parametrize("memo_bytes", [0, 300])
 def test_oracle_with_bounded_memo_is_bit_identical(monkeypatch, memo_bytes):
     # 0: every high leaf unions its low half again; 300: the first keys
-    # (of at most 64 bytes up to 12 arcs) are stored and later ones
+    # (8 bytes a key slot or selected mass) are stored and later ones
     # rebuilt, side by side in one sweep
+    sweeps = []
+    roots = bat._roots
+    monkeypatch.setattr(
+        "relengine.bat._roots", lambda *args: sweeps.append(1) or roots(*args)
+    )
+
+    def low_sweeps():
+        count = 0
+        for net, want in swept_networks():
+            if net.arc_count <= 12:
+                sweeps.clear()
+                assert reliability_oracle(net).hex() == want
+                count += len(sweeps) - 1  # the first sweep is the high half
+        return count
+
+    keys = low_sweeps()
     monkeypatch.setattr("relengine.bat._MEMO_BYTES", memo_bytes)
-    for net, want in swept_networks():
-        if net.arc_count <= 12:
-            assert reliability_oracle(net).hex() == want
+    bounded = low_sweeps()
+    high_leaves = sum(
+        1 << (net.arc_count - net.arc_count // 2)
+        for net, _ in swept_networks()
+        if net.arc_count <= 12
+    )
+    if memo_bytes == 0:
+        assert bounded == high_leaves
+    else:
+        assert keys < bounded < high_leaves
+
+
+def test_oracle_at_the_cap_is_the_product_of_a_series():
+    # 30 arcs in series: two keys, and one connected vector among 2^30
+    net = build(GeneratorSpec("series", 30, 0.99))
+    assert net.arc_count == DEFAULT_ENUMERATION_CAP
+    assert abs(reliability_oracle(net) - math.prod(net.probabilities())) <= 1e-10
 
 
 class CountingBudget:

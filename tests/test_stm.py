@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 
@@ -389,19 +390,108 @@ def reference_tabulation(net, stage):
     return list(entries.items()), discarded, counters
 
 
+def keyed_shape(stage):
+    """(sources, targets) of a stage tabulated by key, else None."""
+    if len(stage.arc_ids) // 2 >= stm._KEYED_SHIFT:
+        return len(stage.source_nodes), len(stage.target_nodes)
+    return None
+
+
+@functools.cache
+def two_by_two_networks():
+    """Seeded random networks with a keyed 2x2 stage and no stage over 16
+    arcs: 16 of 400 at seed 7."""
+    rng = random.Random(7)
+    nets = [random_network(rng, (8, 14), (10, 20)) for _ in range(400)]
+    return [
+        net
+        for net, stages in ((net, decompose(net).stages) for net in nets)
+        if max(len(stage.arc_ids) for stage in stages) <= 16
+        and (2, 2) in map(keyed_shape, stages)
+    ]
+
+
 def test_tabulation_matches_per_vector_reference(example_uniform, example_mixed):
     nets = [example_uniform, example_mixed]
     nets += [build(GeneratorSpec("grid", k, 0.9, seed=k)) for k in (2, 3, 4)]
     rng = random.Random(79)
     nets += [random_network(rng) for _ in range(200)]
+    nets += two_by_two_networks()
+    shapes = set()
     for net in nets:
         for stage in decompose(net).stages:
+            shapes.add(keyed_shape(stage))
             counters = Counters()
             ws = tabulate_stage(net, stage, counters=counters)
             entries, discarded, want = reference_tabulation(net, stage)
             assert list(ws.entries.items()) == entries
             assert ws.discarded == discarded
             assert counters == want
+    assert {(1, 1), (1, 2), (2, 1), (2, 2)} <= shapes
+
+
+def per_leaf_low_half(key, low_u, low_v, shift, sources, targets, low):
+    """stm._low_half as one depth-first walk over the low leaves
+    (``stm._walk`` from the key's forest), reading each leaf's matrix."""
+    size = [key.count(i) for i in range(len(key))]
+    outs = stm._walk(list(key), size, low_u, low_v, 0, shift, sources, targets)
+    by_matrix = {}
+    for out, mass in zip(outs, low):
+        if out in by_matrix:
+            by_matrix[out].append(mass)
+        else:
+            by_matrix[out] = [mass]
+    return by_matrix, outs.count(0)
+
+
+def test_low_half_matches_per_leaf_walk(monkeypatch):
+    halves = []
+    low_half = stm._low_half
+
+    def checked(*args):
+        by_matrix, zeros = low_half(*args)
+        want, want_zeros = per_leaf_low_half(*args)
+        assert list(by_matrix.items()) == list(want.items())
+        assert zeros == want_zeros
+        halves.append(args)
+        return by_matrix, zeros
+
+    monkeypatch.setattr("relengine.stm._low_half", checked)
+    rng = random.Random(79)
+    nets = [random_network(rng) for _ in range(200)] + two_by_two_networks()
+    for net in nets:
+        for stage in decompose(net).stages:
+            tabulate_stage(net, stage)
+    assert len(halves) > 3000
+    # a low arc inside one block of its key, and a source that is a target
+    assert any(
+        key[u] == key[v] for key, low_u, low_v, *_ in halves for u, v in zip(low_u, low_v)
+    )
+    assert any(set(sources) & set(targets) for *_, sources, targets, _ in halves)
+
+
+@pytest.mark.parametrize(
+    "seed, value, summations",
+    [
+        (1, "0x1.fe6bee2d39f2ap-1", 1007091),
+        (4, "0x1.d11ba94c99dcdp-1", 2019679),
+        (6, "0x1.298883c3b2ca4p-1", 3062092),
+    ],
+)
+def test_qb2_pins_one_stage_random_networks(seed, value, summations):
+    # one keyed stage of 20-22 arcs; recorded with the per-leaf low walk
+    net = random_network(random.Random(seed), (6, 12), (20, 22))
+    assert len(decompose(net).stages) == 1
+    r, counters = reliability_qb2(net)
+    assert r.hex() == value
+    assert counters.as_dict() == {
+        "stage_stm_counts": [1],
+        "fold_stm_counts": [],
+        "total_aggregated": 1,
+        "convolution_products": 0,
+        "multiplications": 1 << net.arc_count,
+        "summations": summations,
+    }
 
 
 def reference_fold(net):
@@ -508,8 +598,8 @@ def test_qb2_keeps_nothing_between_solves():
 def test_tabulation_with_bounded_memo_matches_reference(
     monkeypatch, example_uniform, example_mixed, bound
 ):
-    # 0: every high leaf walks its low half again; 256: the first keys are
-    # stored and later ones walked again, side by side in one stage
+    # 0: every high leaf works out its low half again; 256: the first keys
+    # are stored and later ones worked out again, side by side in one stage
     monkeypatch.setattr("relengine.stm._MEMO_LEAVES", bound)
     test_tabulation_matches_per_vector_reference(example_uniform, example_mixed)
 
