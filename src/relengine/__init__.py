@@ -4,8 +4,10 @@ Three interchangeable backends compute the probability that the source
 node communicates with the sink node when every arc fails independently:
 
 ``reliability_oracle``
-    Full enumeration of all arc-state vectors. Slow and simple; the
-    reference the other backends are checked against.
+    Enumeration of all arc-state vectors; high-half states that split
+    the low arcs' ends and the terminals alike share one low-half sweep.
+    Connected vectors are added in integer order, bit-identical to a
+    per-vector sweep; the reference the other backends are checked against.
 ``reliability_quick_bat``
     Prefix enumeration with closed-form head and tail zones; skips the
     bulk of the vector space on well-connected networks.

@@ -1,18 +1,18 @@
 """Shortest paths and minimum cuts on validated networks.
 
-Both rank by arc count, one per arc. The shortest path runs Dijkstra
-with a step of one and a fixed tie rule, so the same adjacency always
-gives the same path. Minimum cuts count arcs, one each, except one
-pinned arc that is free to cut; their ties are settled by a fixed rule:
-the cut with the smallest source side. A cut search may be told that
-some nodes are already settled on the source side; those nodes may
-touch only sources and other settled nodes, so the search skips them
-and costs only the part of the graph it newly reaches.
+Both rank by arc count, one per arc. In the shortest path, each node's
+predecessor is its lowest-numbered neighbour one arc nearer to node 1,
+so the same adjacency always gives the same path. Minimum cuts count
+arcs, one each, except one pinned arc that is free to cut; their ties
+are settled by a fixed rule: the cut with the smallest source side. A
+cut search may be told that some nodes are already settled on the
+source side; those nodes may touch only sources and other settled
+nodes, so the search skips them and costs only the part of the graph
+it newly reaches.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections.abc import Collection, Container, Iterable, Sequence
 
 from .network import Network
@@ -30,39 +30,36 @@ def adjacency(network: Network) -> list[list[tuple[int, int]]]:
 def shortest_path(adj: Sequence[Sequence[tuple[int, int]]]) -> tuple[int, ...]:
     """Arc ids of a fewest-arc path from node 1 to node n = len(adj) - 1.
 
-    `adj` has the shape of `adjacency`. Plain Dijkstra with a step of
-    one. Relaxation requires a strict improvement and scans each node's
-    arcs in list order, so the returned path is deterministic when
-    several paths tie.
+    `adj` has the shape of `adjacency`. One breadth-first search from
+    node 1 in queue order, stopped when node n leaves the queue. Each
+    node's predecessor is its lowest-numbered neighbour one arc nearer to
+    node 1, by that neighbour's first arc to it: a lower-numbered
+    neighbour at the same distance that the queue reaches later replaces
+    an earlier one.
     """
     n = len(adj) - 1
-    if n == 1:
-        return ()
-    dist: list[int | None] = [None] * (n + 1)
-    pred_arc = [0] * (n + 1)
-    pred_node = [0] * (n + 1)
-    dist[1] = 0
-    heap: list[tuple[int, int]] = [(0, 1)]
-    while heap:
-        d, node = heapq.heappop(heap)
-        if dist[node] != d:
-            continue
-        if node == n:
+    # via[v] is (distance, predecessor, arc id), None until v is reached
+    via: list[tuple[int, int, int] | None] = [None] * (n + 1)
+    via[1] = (0, 0, 0)
+    queue = [1]
+    for u in queue:
+        if u == n:
             break
-        nd = d + 1
-        for arc_id, other in adj[node]:
-            if dist[other] is None or nd < dist[other]:
-                dist[other] = nd
-                pred_arc[other] = arc_id
-                pred_node[other] = node
-                heapq.heappush(heap, (nd, other))
-    if dist[n] is None:
+        d = via[u][0] + 1
+        for arc_id, v in adj[u]:
+            seen = via[v]
+            if seen is None:
+                queue.append(v)
+            elif seen[1] <= u or seen[0] < d:
+                continue  # v is no farther than u, or has a predecessor <= u
+            via[v] = (d, u, arc_id)
+    if via[n] is None:
         raise ValueError("no path from the source to the sink")
     path = []
     node = n
     while node != 1:
-        path.append(pred_arc[node])
-        node = pred_node[node]
+        _, node, arc_id = via[node]
+        path.append(arc_id)
     path.reverse()
     return tuple(path)
 

@@ -409,7 +409,6 @@ def _tabulate(
         sources = [at[x] for x in sources]
         targets = [at[x] for x in targets]
         memo: dict[tuple[int, ...], tuple] = {}
-        stored = 0
         zeros = 0
         for hb, key in enumerate(keys):
             if budget is not None and hb and (hb << shift) % STRIDE == 0:
@@ -417,9 +416,8 @@ def _tabulate(
             half = memo.get(key)
             if half is None:
                 half = _low_half(key, low_u, low_v, shift, sources, targets, low)
-                if stored + (1 << shift) <= _MEMO_LEAVES:
+                if (len(memo) + 1) << shift <= _MEMO_LEAVES:
                     memo[key] = half
-                    stored += 1 << shift
             by_matrix, half_zeros = half
             zeros += half_zeros
             h = high[hb]

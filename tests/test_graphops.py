@@ -75,6 +75,39 @@ def test_shortest_path_reports_unreachable_sink():
         shortest_path(adjacency(net))
 
 
+def test_shortest_path_takes_lowest_numbered_predecessor():
+    # Node 1 reaches node 3 before node 2, so a search that keeps the
+    # first predecessor it finds would return (1, 2), the route through 3.
+    net = make_network(4, [(1, 3, .5), (3, 4, .5), (1, 2, .5), (2, 4, .5)])
+    assert shortest_path(adjacency(net)) == (3, 4)
+
+
+def test_shortest_path_steps_to_lowest_numbered_nearer_neighbour():
+    # Walked back from the sink, each step of the path goes to the
+    # lowest-numbered neighbour one hop nearer to the source.
+    rng = random.Random(11)
+    for _ in range(200):
+        net = random_network(rng, node_range=(2, 30), arc_range=(1, 60))
+        neighbours = {v: {} for v in range(1, net.node_count + 1)}
+        for a in net.arcs:
+            neighbours[a.u][a.v] = neighbours[a.v][a.u] = a.id
+        hops = {1: 0}
+        frontier = [1]
+        for node in frontier:
+            for other in neighbours[node]:
+                if other not in hops:
+                    hops[other] = hops[node] + 1
+                    frontier.append(other)
+        path = shortest_path(adjacency(net))
+        assert len(path) == hops[net.sink]
+        node = net.sink
+        for arc_id in reversed(path):
+            nearer = min(v for v in neighbours[node] if hops[v] == hops[node] - 1)
+            assert arc_id == neighbours[node][nearer]
+            node = nearer
+        assert node == 1
+
+
 def test_min_cut_on_example(example_uniform):
     # Two two-arc min cuts exist; the implementation settles ties by
     # taking the one nearest the source.

@@ -369,8 +369,13 @@ def test_tabulation_order_is_deterministic(example_uniform):
     assert first == second == ["[0 0; 1 0]", "[1 0; 1 0]", "[0 1; 1 0]", "[1 1; 1 1]", "[0 0; 1 1]"]
 
 
+@functools.cache
 def reference_tabulation(net, stage):
-    """Pool stm_from_vector over range(2^g) with the same half-table products."""
+    """Pool stm_from_vector over range(2^g) with the same half-table products.
+
+    Cached per (network, stage), since three tests tabulate the same
+    stages; callers must not change what it returns.
+    """
     probs = [net.arcs[arc_id - 1].p for arc_id in stage.arc_ids]
     low, high, shift = half_probability_tables(probs)
     entries = {}
