@@ -9,9 +9,13 @@ workload's network texts come from this repository's
 ``perfbench.workloads``, and each side parses them with its own parser.
 
 Both sides first solve every instance of the workload that lists the
-backend, once, through ``run_backend``. If any status, answer
-(compared by ``float.hex``) or ``counters.as_dict()`` differs, the first
-difference is printed and the script exits 1. Otherwise it times
+backend, once, through ``run_backend``. With ``--backend qb2`` each side
+also decomposes every instance first (``decompose``), and the two
+decompositions are compared as plain tuples: the shortest path, each cut
+with its ``joined`` order and ``side_size``, the regions, ``stage_arcs``
+and the stages. If any decomposition part, status, answer (compared by
+``float.hex``) or ``counters.as_dict()`` differs, the first difference is
+printed and the script exits 1. Otherwise it times
 ``--rounds`` passes of the workload per side, alternating which side runs
 first, and prints each side's median and quartiles in seconds per pass,
 the change/parent ratio of the medians and how many rounds the change won:
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import reprlib
 import shutil
 import statistics
 import sys
@@ -58,6 +63,35 @@ def outcome(program, network, backend: str) -> tuple:
         None if value is None else value.hex(),
         None if counters is None else counters.as_dict(),
     )
+
+
+def decomposition(program, network) -> tuple:
+    """``decompose(network)`` as (part name, plain tuple) pairs, in pipeline order."""
+    d = program.decompose(network)
+    cuts = tuple(
+        (c.index, c.path_arc, tuple(sorted(c.arc_ids)), c.separated_sources,
+         c.joined, c.side_size)
+        for c in d.cuts
+    )
+    stages = tuple(tuple(stage) for stage in d.stages or ())
+    return (
+        ("path", d.path_arcs), ("cuts", cuts), ("regions", d.regions),
+        ("stage_arcs", d.stage_arcs), ("stages", stages),
+    )
+
+
+def first_difference(parent: tuple, change: tuple) -> tuple | None:
+    """(part, index, parent item, change item) where two decompositions first differ."""
+    for (name, mine), (_, theirs) in zip(parent, change):
+        if mine != theirs:
+            at = next(
+                (i for i, (a, b) in enumerate(zip(mine, theirs)) if a != b),
+                min(len(mine), len(theirs)),
+            )
+            return name, at, *(
+                items[at] if at < len(items) else "(none)" for items in (mine, theirs)
+            )
+    return None
 
 
 def timed_pass(program, networks, backend: str) -> float:
@@ -109,6 +143,16 @@ def compare(programs: dict, instances: list, args) -> int:
         for side, program in programs.items()
     }
     for i, inst in enumerate(instances):
+        if args.backend == "qb2":
+            found = first_difference(
+                *(decomposition(programs[side], networks[side][i]) for side in SIDES)
+            )
+            if found:
+                name, at, *items = found
+                print(f"{inst.label} (qb2) decomposition differs at {name}[{at}]:")
+                for side, item in zip(SIDES, items):
+                    print(f"  {side:<6} {reprlib.repr(item)}")
+                return 1
         seen = {
             side: outcome(programs[side], networks[side][i], args.backend)
             for side in SIDES
@@ -118,9 +162,12 @@ def compare(programs: dict, instances: list, args) -> int:
             for side in SIDES:
                 print(f"  {side:<6} {seen[side]}")
             return 1
+    checked = "answers and counters"
+    if args.backend == "qb2":
+        checked = "answers, counters and decompositions"
     print(
         f"{args.workload} seed {args.seed}, {args.backend}: {len(instances)} "
-        "instances agree (answers and counters)"
+        f"instances agree ({checked})"
     )
 
     times: dict[str, list[float]] = {side: [] for side in SIDES}

@@ -63,10 +63,11 @@ def half_probability_tables(probs: Sequence[float]) -> tuple[list[float], list[f
 
 def _table(probs: Sequence[float]) -> list[float]:
     # arc i appends its factor to every entry built so far: clear below
-    # 2^i, set from 2^i on, so each entry is still a left-to-right product
-    out = [1.0]
-    for p in probs:
-        out = [x * (1.0 - p) for x in out] + [x * p for x in out]
+    # 2^i, set from 2^i on, so each entry is a left-to-right product from
+    # 1.0, and the first arc's two entries are its two factors
+    out = [1.0 - probs[0], probs[0]] if probs else [1.0]
+    for p in probs[1:]:
+        out = [x * f for f in (1.0 - p, p) for x in out]
     return out
 
 

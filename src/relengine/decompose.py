@@ -28,17 +28,18 @@ the boundaries that the merges remove are dropped in one pass.
 
 A chain holds one cut and one stage per path arc, so the per-cut and
 per-stage bookkeeping is kept to plain lists and tuples: the records are
-named tuples, node regions and arc endpoints are lists indexed by node
-and arc id, and one adjacency serves the shortest path and every cut.
+named tuples, one side list marks every node for all the cut searches,
+and one adjacency serves the shortest path and every cut.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import chain
+from itertools import chain, repeat
 from typing import NamedTuple
 
 from . import graphops
+from .graphops import FREE, SETTLED, SINK
 from .network import Network
 
 
@@ -97,11 +98,6 @@ class Decomposition:
     stages: tuple[Stage, ...] | None = None
 
 
-def _arc_ends(network: Network) -> tuple[list[int], list[int]]:
-    """us[i] and vs[i]: the endpoints of arc i (slot 0 is unused)."""
-    return [0] + [a.u for a in network.arcs], [0] + [a.v for a in network.arcs]
-
-
 def find_shortest_mcs(network: Network) -> Decomposition:
     """Chain of pinned minimum cuts along a hop-count shortest path.
 
@@ -114,48 +110,41 @@ def find_shortest_mcs(network: Network) -> Decomposition:
     The nodes on the previous cut's source side are settled: every arc
     leaving them ends in one of that cut's outer endpoints, which are
     sources of the next cut, so each search starts from the sources not
-    yet settled and never enters a settled node. The sinks and the settled
-    nodes are updated in place from cut to cut, and the region of a cut
-    is the nodes its search newly reached.
+    yet settled and never enters a settled node. One side list marks
+    every node free, settled or a sink for the whole chain; each search
+    settles the nodes it reaches, its cut's region, which join the source
+    side in search order from the iteration order of the sources' set.
     """
     adj = graphops.adjacency(network)
     path = graphops.shortest_path(adj)
-    us, vs = _arc_ends(network)
+    side = [FREE] * (network.node_count + 1)
     nodes_on_path = [network.source]
     for arc_id in path:
-        at = nodes_on_path[-1]
-        nodes_on_path.append(vs[arc_id] if us[arc_id] == at else us[arc_id])
-    sinks = set(nodes_on_path)  # nodes_on_path[i:] inside the loop
-    settled: set[int] = set()
+        a = network.arcs[arc_id - 1]
+        nodes_on_path.append(a.v if a.u == nodes_on_path[-1] else a.u)
+        side[nodes_on_path[-1]] = SINK  # nodes_on_path[i:] are the sinks of cut i
     joined: list[int] = []
     pending: set[int] = set()  # sources not yet settled
-    found = []
+    found, regions = [], []  # each cut's fields but joined, and its region
     sep_sources: tuple[int, ...] = (network.source,)
-    for i, arc_id in enumerate(path, start=1):
-        pending.add(nodes_on_path[i - 1])
-        sinks.discard(nodes_on_path[i - 1])
-        # Settled nodes and earlier path nodes are never sinks, so only a
-        # grown source can overlap them.
-        if not sinks.isdisjoint(sep_sources):
-            continue  # no cut can hold exactly this path arc; stages merge here
-        reached, cut = graphops.min_cut_partition(adj, arc_id, pending, sinks, settled)
-        settled.update(reached)
-        found.append((i, arc_id, cut, sep_sources, len(joined), len(reached)))
-        joined.extend(reached)
-        sep_sources = tuple(
-            sorted({v for c in cut for v in (us[c], vs[c]) if v not in settled})
-        )
+    for i, (at, arc_id) in enumerate(zip(nodes_on_path, path), start=1):
+        side[at] = FREE
+        pending.add(at)
+        # only a grown source can be a sink; then no cut can hold exactly
+        # this path arc, and stages merge here
+        if SINK in map(side.__getitem__, sep_sources):
+            continue
+        reached, cut = graphops.min_cut_partition(adj, arc_id, pending, side)
+        joined += reached
+        found.append((i, arc_id, frozenset(cut), sep_sources, len(joined)))
+        reached.sort()
+        regions.append(tuple(reached))
+        sep_sources = tuple(sorted({*cut.values()}))
         pending = set(sep_sources)
 
-    order = tuple(joined)
-    cuts = tuple(
-        CutInfo(i, arc_id, cut, sep, order, start + size)
-        for i, arc_id, cut, sep, start, size in found
-    )
-    regions = [tuple(sorted(order[start : start + size])) for *_, start, size in found]
-    regions.append(
-        tuple(v for v in range(1, network.node_count + 1) if v not in settled)
-    )
+    columns = [*zip(*found)] or [()] * 5
+    cuts = _records(CutInfo, *columns[:4], repeat(tuple(joined)), columns[4])
+    regions.append(tuple([v for v in range(1, len(side)) if side[v] != SETTLED]))
     return Decomposition(path, cuts, tuple(regions))
 
 
@@ -188,18 +177,14 @@ def self_adjust(network: Network, decomposition: Decomposition) -> Decomposition
             raise AssertionError(f"arc {a.id} spans non-adjacent regions")
 
     for b in range(1, count):
-        left, right = b - 1, b
-        if len(assigned[left]) < len(assigned[right]):
-            pick = left
-        elif len(assigned[right]) < len(assigned[left]):
-            pick = right
-        else:
-            end_distance_left = min(left, count - 1 - left)
-            end_distance_right = min(right, count - 1 - right)
-            pick = left if end_distance_left <= end_distance_right else right
-        assigned[pick].extend(crossing[b])
+        left, right = assigned[b - 1], assigned[b]
+        if len(left) != len(right):
+            pick = left if len(left) < len(right) else right
+        else:  # stage b - 1 is no farther from an end than stage b
+            pick = left if 2 * b <= count else right
+        pick += crossing[b]
 
-    stage_arcs = tuple(tuple(sorted(arcs)) for arcs in assigned if arcs)
+    stage_arcs = tuple(map(tuple, map(sorted, filter(None, assigned))))
     return replace(decomposition, stage_arcs=stage_arcs)
 
 
@@ -208,7 +193,8 @@ def _stage_spans(network: Network, arcsets) -> tuple[list[int], list[int]]:
 
     A node with no arc gets the empty span (len(arcsets), -1).
     """
-    us, vs = _arc_ends(network)
+    us = [0] + [a.u for a in network.arcs]  # the ends of arc i, slot 0 unused
+    vs = [0] + [a.v for a in network.arcs]
     first = [len(arcsets)] * (network.node_count + 1)
     last = [-1] * (network.node_count + 1)
     for s in range(len(arcsets) - 1, -1, -1):
@@ -220,19 +206,28 @@ def _stage_spans(network: Network, arcsets) -> tuple[list[int], list[int]]:
     return first, last
 
 
-def _bucket(first, last, count: int, reach: int) -> list[tuple[int, ...]]:
-    """Bucket s holds, in node order, each v with first[v] <= s < last[v] + reach.
+def _buckets(first, last, count: int) -> tuple[list[tuple], list[tuple]]:
+    """Boundaries and node lists of `count` stages, each in node order.
 
-    With reach 0 bucket s is boundary s: the nodes with arcs in some
-    stage <= s and in some stage > s, so a node that skips a stage stays
-    in every boundary it rides through. With reach 1 bucket s is stage
-    s's node list: the nodes of its arcs plus those riding through it.
+    Boundary s holds each v with first[v] <= s < last[v], so a node that
+    skips a stage stays on every boundary it rides through, and stage s's
+    node list each v with first[v] <= s <= last[v].
     """
-    buckets: list[list[int]] = [[] for _ in range(count)]
+    boundaries: list[list[int]] = [[] for _ in range(count - 1)]
+    nodes: list[list[int]] = [[] for _ in range(count)]
     for v in range(1, len(first)):
-        for s in range(first[v], last[v] + reach):
-            buckets[s].append(v)
-    return [tuple(b) for b in buckets]
+        end = last[v]
+        for s in range(first[v], end + 1):
+            nodes[s].append(v)
+            if s < end:
+                boundaries[s].append(v)
+    return list(map(tuple, boundaries)), list(map(tuple, nodes))
+
+
+def _records(kind, *columns) -> tuple:
+    # kind(*row) for each row: tuple.__new__ is what a named tuple's own
+    # constructor calls, here without one Python call per cut or stage
+    return tuple(map(tuple.__new__, repeat(kind), zip(*columns)))
 
 
 def stage_sources_targets(
@@ -255,7 +250,7 @@ def stage_sources_targets(
         raise ValueError("self_adjust must run before stage_sources_targets")
     arcsets = decomposition.stage_arcs
     first, last = _stage_spans(network, arcsets)
-    boundaries = _bucket(first, last, len(arcsets) - 1, 0)
+    boundaries, node_ids = _buckets(first, last, len(arcsets))
     lo, hi = first[network.source], last[network.sink]
     kept = [s for s, nodes in enumerate(boundaries) if lo <= s < hi and len(nodes) <= 2]
     if len(kept) < len(boundaries):
@@ -266,13 +261,12 @@ def stage_sources_targets(
             for a, b in zip(ends, ends[1:])
         )
         boundaries = [boundaries[s] for s in kept]
-        first, last = _stage_spans(network, arcsets)
+        _, node_ids = _buckets(*_stage_spans(network, arcsets), len(arcsets))
 
-    node_ids = _bucket(first, last, len(arcsets), 1)
     sources = [(network.source,)] + boundaries
     targets = boundaries + [(network.sink,)]
-    stages = tuple(
-        map(Stage, range(1, len(arcsets) + 1), arcsets, sources, targets, node_ids)
+    stages = _records(
+        Stage, range(1, len(arcsets) + 1), arcsets, sources, targets, node_ids
     )
     return replace(decomposition, stage_arcs=arcsets, stages=stages)
 

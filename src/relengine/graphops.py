@@ -5,17 +5,21 @@ predecessor is its lowest-numbered neighbour one arc nearer to node 1,
 so the same adjacency always gives the same path. Minimum cuts count
 arcs, one each, except one pinned arc that is free to cut; their ties
 are settled by a fixed rule: the cut with the smallest source side. A
-cut search may be told that some nodes are already settled on the
-source side; those nodes may touch only sources and other settled
-nodes, so the search skips them and costs only the part of the graph
-it newly reaches.
+cut search reads one list that marks each node free, settled on the
+source side or a sink. Settled nodes may touch only sources and other
+settled nodes, so the search skips them, and it marks the nodes it
+reaches settled: a chain of nested cuts shares one list, and each search
+costs only the part of the graph it newly reaches.
 """
 
 from __future__ import annotations
 
-from collections.abc import Collection, Container, Iterable, Sequence
+from collections.abc import Collection, Sequence
 
 from .network import Network
+
+# Where a node stands in a cut search: see min_cut_partition.
+FREE, SETTLED, SINK = 0, 1, 2
 
 
 def adjacency(network: Network) -> list[list[tuple[int, int]]]:
@@ -67,36 +71,33 @@ def shortest_path(adj: Sequence[Sequence[tuple[int, int]]]) -> tuple[int, ...]:
 def min_cut_partition(
     adj: Sequence[Sequence[tuple[int, int]]],
     pinned: int,
-    sources: Iterable[int],
-    sinks: Collection[int],
-    settled: Container[int],
-) -> tuple[tuple[int, ...], frozenset[int]]:
-    """Fewest-arc cut separating `sources` and `settled` from `sinks`.
+    sources: Collection[int],
+    side: list[int],
+) -> tuple[list[int], dict[int, int]]:
+    """Fewest-arc cut separating `sources` and the settled nodes from the sinks.
 
-    `adj` is the network's `adjacency`. Every arc counts one, except arc
-    `pinned`, which costs nothing to cut and which the search never
-    crosses; an id of no arc, such as 0, pins nothing. The settled nodes
-    are already known to sit on the source side, and every arc at a
-    settled node must end in a source or another settled node, so the
-    search never enters them: a call costs the part of the graph it
-    reaches, not O(n + m).
+    `adj` is the network's `adjacency`; side[v] is FREE, SETTLED (known to
+    sit on the source side) or SINK, and the sources are distinct FREE
+    nodes. Every arc counts one, except arc `pinned`, which costs nothing
+    to cut and which the search never crosses (0 pins nothing). Every arc
+    at a settled node must end in a source or another settled node, so
+    the search never enters them and costs only the part of the graph it
+    reaches. It marks the nodes it reaches SETTLED.
 
-    Returns (reached, cut_arc_ids): the real nodes the last, failing
-    search reaches from `sources` in the residual graph, in the order it
-    reaches them, and every arc from one of them to a node outside both
-    them and `settled`, the pinned arc included. Shortest augmenting
-    paths (Edmonds-Karp) saturate a maximum flow, and the reached set is
-    the same after any maximum flow, so when several cuts tie this picks
-    the one with the smallest source side.
+    Returns (reached, cut): the nodes the last, failing search reaches
+    from `sources` in the residual graph, in the order it reaches them,
+    and every arc from one of them to a node left unsettled, the pinned
+    arc included, mapped to that node. Shortest augmenting paths
+    (Edmonds-Karp) saturate a maximum flow, and the reached set is the
+    same after any maximum flow, so of tied cuts this picks the one with
+    the smallest source side.
     """
-    sources = list(dict.fromkeys(sources))
-    if not sources or not sinks:
-        raise ValueError("sources and sinks must both be nonempty")
-    if any(s in sinks or s in settled for s in sources):
-        overlap = sorted(s for s in sources if s in sinks)
-        if overlap:
-            raise ValueError(f"sources and sinks overlap on {overlap}")
-        raise ValueError("sources must not be settled")
+    if not sources:
+        raise ValueError("sources must be nonempty")
+    for s in sources:
+        if side[s] != FREE:
+            state = "overlaps the sinks" if side[s] == SINK else "is settled"
+            raise ValueError(f"source {s} {state}")
 
     # flow[arc] is the end that the arc's unit of flow runs into; an arc
     # without flow has no entry. No flow ever leaves a sink, so the last
@@ -112,25 +113,26 @@ def min_cut_partition(
         end = 0
         for u in queue:
             for arc_id, v in adj[u]:
-                if v in via or v in settled:
+                state = side[v]
+                if state == SETTLED or v in via:
                     continue
                 if arc_id == pinned or flow.get(arc_id) == v:
                     continue  # no room from u
                 via[v] = (arc_id, u)
-                if v in sinks:
+                if state == SINK:
                     end = v
                     break
                 queue.append(v)
             if end:
                 break
         if not end:
-            cut = frozenset(
-                arc_id
-                for u in queue
-                for arc_id, v in adj[u]
-                if v not in via and v not in settled
-            )
-            return tuple(queue), cut
+            cut = {}
+            for u in queue:
+                side[u] = SETTLED
+                for arc_id, v in adj[u]:
+                    if v not in via and side[v] != SETTLED:
+                        cut[arc_id] = v
+            return queue, cut
         while via[end] is not None:
             arc_id, u = via[end]
             if flow.get(arc_id) == u:

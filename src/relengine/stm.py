@@ -347,41 +347,42 @@ def _tabulate(
     """Pool the connectivity matrix of every stage vector, by matrix bits.
 
     Vector ``bits`` weighs ``low[bits & (2^shift - 1)] * high[bits >> shift]``
-    (``half_probability_tables``), and the walk splits at that shift. An
-    outer walk over the high arcs shift..g-1 meets the high leaves hb in
-    increasing order and reads each one's key: the partition its arcs
-    induce on the interface, which is the low arcs' endpoints and the
-    source and target nodes. The key fixes the matrix of every low
-    completion j, so high leaves with equal keys share one table from
-    matrix bits to their low leaves, worked out bit-sliced over every low
-    leaf at once (``_low_half``) and kept in a per-stage memo of at most
-    _MEMO_LEAVES leaves (past it, a key's low half is worked out again).
-    Each high leaf adds ``low[j] * high[hb]`` to its matrix for j in
-    increasing order, so every pooled mass is the same sum, in the same
-    order, as a per-vector sweep over ``range(2^g)``: entries, their
-    order, ``discarded`` and the counters are bit-identical to it.
+    (``half_probability_tables``). Every pooled mass is the same sum, in
+    the same order, as a per-vector sweep over ``range(2^g)``, so entries,
+    their order, ``discarded`` and the counters are bit-identical to it.
+    The all-zero matrix is dropped and its mass returned as discarded.
 
-    Stages with fewer than _KEYED_SHIFT low arcs are walked whole, and
-    their leaf matrices depend only on the stage's local shape: the node
-    count, each arc's local endpoints in stage order and the local source
-    and target lists. ``walks`` maps that shape to its leaf matrices and
-    their zero count, so a caller that passes one dict for many stages
-    (``reliability_qb2`` does, for one solve) walks each shape once and
-    redoes only the probability sums for the others. The all-zero matrix
-    is dropped and its mass returned as the discarded mass. A budget is
-    checked before leaf 0 and, in a keyed stage, at every high leaf whose
-    first vector index is a multiple of budget.STRIDE, whether or not the
-    shape or key was walked before.
+    A stage with _KEYED_SHIFT or more low arcs is split at that shift. An
+    outer walk over the high arcs meets the high leaves hb in increasing
+    order and reads each one's key: the partition its arcs induce on the
+    interface, which is the low arcs' endpoints and the source and target
+    nodes. The key fixes the matrix of every low completion j, so high
+    leaves with equal keys share one table from matrix bits to their low
+    leaves, worked out bit-sliced over every low leaf at once
+    (``_low_half``) and kept in a per-stage memo of at most _MEMO_LEAVES
+    leaves. Each high leaf adds ``low[j] * high[hb]`` to its matrix for j
+    in increasing order.
+
+    A smaller stage is walked whole, and its leaf matrices depend only on
+    its local shape: the node count, each arc's local endpoints in stage
+    order and the local sources and targets, a node's local index being
+    its position in the stage's node list. ``walks`` maps the shape to
+    its leaf matrices and their zero count, so a caller that passes one
+    dict for many stages (``reliability_qb2`` does, for one solve) walks
+    each shape once and each stage adds up only its own masses. A budget
+    is checked before leaf 0 and, in a keyed stage, at every high leaf
+    whose first vector index is a multiple of budget.STRIDE, whether or
+    not the shape or key was walked before.
     """
     g = len(stage.arc_ids)
     arcs = [network.arcs[arc_id - 1] for arc_id in stage.arc_ids]
     low, high, shift = half_probability_tables([a.p for a in arcs])
-    local = {node: idx for idx, node in enumerate(stage.node_ids)}
-    n = len(local)
-    arc_u = tuple([local[a.u] for a in arcs])
-    arc_v = tuple([local[a.v] for a in arcs])
-    sources = tuple([local[s] for s in stage.source_nodes])
-    targets = tuple([local[t] for t in stage.target_nodes])
+    local = stage.node_ids.index  # a node's position in the stage's node list
+    n = len(stage.node_ids)
+    arc_u = [local(a.u) for a in arcs]
+    arc_v = [local(a.v) for a in arcs]
+    sources = tuple(map(local, stage.source_nodes))
+    targets = tuple(map(local, stage.target_nodes))
     if budget is not None:  # the stage's check, made before any walk
         budget.check()
     # matrix bits -> mass; the all-zero matrix 0 is popped as discarded
@@ -391,15 +392,16 @@ def _tabulate(
     if shift < _KEYED_SHIFT:
         # too few low leaves per high leaf for a key to pay: walk every
         # arc, once per shape, and pool leaf by leaf
-        shape = (n, arc_u, arc_v, sources, targets)
+        shape = (n, *arc_u, *arc_v, sources, targets)
         walk = walks.get(shape)
         if walk is None:
             outs = _walk(list(range(n)), [1] * n, arc_u, arc_v, 0, g, sources, targets)
             walk = walks[shape] = (outs, outs.count(0))
         outs, zeros = walk
-        low_mask = (1 << shift) - 1
-        for bits, out in enumerate(outs):
-            pooled[out] = get(out, 0.0) + low[bits & low_mask] * high[bits >> shift]
+        # low[j] * high[hb] for every vector; without low arcs, just high
+        masses = [x * y for y in high for x in low] if shift else high
+        for out, mass in zip(outs, masses):
+            pooled[out] = get(out, 0.0) + mass
     else:
         interface = sorted({*arc_u[:shift], *arc_v[:shift], *sources, *targets})
         keys = _walk(list(range(n)), [1] * n, arc_u, arc_v, shift, g, interface)

@@ -13,9 +13,23 @@ def load_script():
     return module
 
 
-def ab_args(change):
-    return [str(ROOT), str(change), "--workload", "chains", "--backend", "qbat",
+def ab_args(change, backend="qbat", workload="chains"):
+    return [str(ROOT), str(change), "--workload", workload, "--backend", backend,
             "--rounds", "2"]
+
+
+def edited_copy(tmp_path, module, old, new):
+    """This checkout's package under tmp_path, with `old` replaced by `new` in one module."""
+    copy = tmp_path / "copy"
+    shutil.copytree(
+        ROOT / "src" / "relengine", copy / "src" / "relengine",
+        ignore=shutil.ignore_patterns("__pycache__"),
+    )
+    path = copy / "src" / "relengine" / module
+    text = path.read_text()
+    assert text.count(old) == 1
+    path.write_text(text.replace(old, new))
+    return copy
 
 
 def test_checkout_against_itself_agrees(capsys):
@@ -27,16 +41,8 @@ def test_checkout_against_itself_agrees(capsys):
 
 def test_shifted_answer_is_named(tmp_path, capsys):
     ab_inprocess = load_script()
-    shifted = tmp_path / "shifted"
-    shutil.copytree(
-        ROOT / "src" / "relengine", shifted / "src" / "relengine",
-        ignore=shutil.ignore_patterns("__pycache__"),
-    )
-    quickbat = shifted / "src" / "relengine" / "quickbat.py"
     answer = "return total + tail_mass_above(probs, hi)"
-    text = quickbat.read_text()
-    assert text.count(answer) == 1
-    quickbat.write_text(text.replace(answer, answer + " + 1e-9"))
+    shifted = edited_copy(tmp_path, "quickbat.py", answer, answer + " + 1e-9")
 
     assert ab_inprocess.main(ab_args(shifted)) == 1
     first = next(
@@ -46,3 +52,22 @@ def test_shifted_answer_is_named(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.startswith(f"{first.label} (qbat) differs:\n")
     assert "agree" not in out
+
+
+def test_changed_tie_rule_is_named_by_its_decomposition(tmp_path, capsys):
+    # self_adjust's ties going the other way move crossing arcs between
+    # stages (series have no arcs inside a region, so theirs stay put);
+    # decompositions are compared before answers, so the first chain the
+    # rule changes is named by its stage arcs
+    ab_inprocess = load_script()
+    tie = "pick = left if 2 * b <= count else right"
+    flipped = edited_copy(
+        tmp_path, "decompose.py", tie, "pick = right if 2 * b <= count else left"
+    )
+
+    assert ab_inprocess.main(ab_args(flipped, "qb2")) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("ladder-100 (qb2) decomposition differs at stage_arcs[")
+    assert "agree" not in out and "change won" not in out
+    assert ab_inprocess.main(ab_args(ROOT, "qb2", "grid")) == 0
+    assert "instances agree (answers, counters and decompositions)" in capsys.readouterr().out

@@ -109,8 +109,11 @@ def cut_chain_from_scratch(net, path):
         sinks = set(nodes[i:]) | {net.sink}
         if sources & sinks:
             continue
-        reached, cut = graphops.min_cut_partition(adj, arc_id, sources, sinks, frozenset())
-        cuts.append((i, arc_id, cut, frozenset(reached), grown))
+        marks = [graphops.FREE] * (net.node_count + 1)
+        for v in sinks:
+            marks[v] = graphops.SINK
+        reached, cut = graphops.min_cut_partition(adj, arc_id, sources, marks)
+        cuts.append((i, arc_id, frozenset(cut), frozenset(reached), grown))
         side = frozenset(reached)
         ends = {v for c in cut for v in (net.arcs[c - 1].u, net.arcs[c - 1].v)}
         grown = tuple(sorted(ends - side))
@@ -145,17 +148,19 @@ def test_cut_chain_matches_from_scratch_cuts(example_uniform, example_mixed):
 def test_cut_search_starts_with_settled_nodes_closed(monkeypatch):
     # min_cut_partition does not check that every arc at a settled node
     # ends in a source or another settled node; it returns a wrong cut
-    # when that fails, so check it before every call of the cut chain
+    # when that fails, so check it before every call of the cut chain.
+    # The chain must call it through the module, once per cut it returns.
     search = graphops.min_cut_partition
     settled_sizes = []
 
-    def checked(adj, pinned, sources, sinks, settled):
-        closed = set(settled) | set(sources)
+    def checked(adj, pinned, sources, side):
+        settled = {v for v, state in enumerate(side) if state == graphops.SETTLED}
+        closed = settled | set(sources)
         for node in settled:
             for arc_id, other in adj[node]:
                 assert other in closed, (node, arc_id, other)
         settled_sizes.append(len(settled))
-        return search(adj, pinned, sources, sinks, settled)
+        return search(adj, pinned, sources, side)
 
     monkeypatch.setattr(graphops, "min_cut_partition", checked)
     nets = [
@@ -166,7 +171,9 @@ def test_cut_search_starts_with_settled_nodes_closed(monkeypatch):
     rng = random.Random(89)
     nets += [random_network(rng, node_range=(4, 12), arc_range=(5, 30)) for _ in range(300)]
     for net in nets:
-        find_shortest_mcs(net)
+        calls = len(settled_sizes)
+        d = find_shortest_mcs(net)
+        assert len(settled_sizes) - calls == len(d.cuts)
     assert max(settled_sizes) >= 100
 
 

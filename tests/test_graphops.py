@@ -3,16 +3,43 @@ import random
 
 import pytest
 
-from relengine.graphops import adjacency, min_cut_partition, shortest_path
+from relengine.graphops import (
+    FREE,
+    SETTLED,
+    SINK,
+    adjacency,
+    min_cut_partition,
+    shortest_path,
+)
 from relengine.network import Arc, Network, make_network
 from relengine.generators import GeneratorSpec, build, random_network
 from relengine.quickbat import first_connected
 
 
+def side_list(net, sinks=(), settled=()):
+    """A cut search's side list: every node free but the sinks and the settled."""
+    side = [FREE] * (net.node_count + 1)
+    for v in sinks:
+        side[v] = SINK
+    for v in settled:
+        side[v] = SETTLED
+    return side
+
+
 def from_scratch(net, sources, sinks, pinned=0):
-    """(source side, cut arcs) of a cut searched with nothing settled."""
-    side, cut = min_cut_partition(adjacency(net), pinned, sources, sinks, frozenset())
-    return frozenset(side), cut
+    """(source side, cut arcs) of a cut searched with nothing settled.
+
+    Also checks what the search leaves in its side list, and that each cut
+    arc maps to its end outside the source side.
+    """
+    side = side_list(net, sinks)
+    reached, cut = min_cut_partition(adjacency(net), pinned, sources, side)
+    reached = frozenset(reached)
+    assert {v for v in range(1, net.node_count + 1) if side[v] == SETTLED} == reached
+    for arc_id, outer in cut.items():
+        a = net.arcs[arc_id - 1]
+        assert outer not in reached and {a.u, a.v} - {outer} <= reached
+    return reached, frozenset(cut)
 
 
 def crossing_count(net, side, pinned):
@@ -124,10 +151,13 @@ def test_min_cut_single_arc():
 def test_min_cut_argument_validation(example_uniform):
     with pytest.raises(ValueError, match="nonempty"):
         from_scratch(example_uniform, set(), {5})
-    with pytest.raises(ValueError, match="nonempty"):
-        from_scratch(example_uniform, {1}, set())
     with pytest.raises(ValueError, match="overlap"):
         from_scratch(example_uniform, {1, 5}, {5})
+    # with no sink marked nothing is cut but the pinned arc: the source
+    # side is everything the sources reach without crossing it
+    assert from_scratch(example_uniform, {1}, set()) == (frozenset(range(1, 6)), frozenset())
+    one_arc = make_network(2, [(1, 2, 0.5)])
+    assert from_scratch(one_arc, {1}, set(), pinned=1) == (frozenset({1}), frozenset({1}))
 
 
 def test_min_cut_partition_sides_and_crossing_arcs(example_uniform):
@@ -191,15 +221,17 @@ def test_min_cut_partition_with_settled_nodes(example_uniform):
     # The example's second cut: node 1 is settled, its cut {1, 2} ends in
     # the grown sources 2 and 3, and arc 6 is pinned.
     adj = RecordingRows(adjacency(example_uniform))
-    reached, cut = min_cut_partition(adj, 6, {2, 3}, {5}, {1})
+    side = side_list(example_uniform, sinks={5}, settled={1})
+    reached, cut = min_cut_partition(adj, 6, {2, 3}, side)
     assert sorted(reached) == [2, 3, 4]
-    assert cut == {6, 7}
+    assert cut == {6: 5, 7: 5}
     assert 1 not in adj.read
-    assert (frozenset({1}) | set(reached), cut) == from_scratch(
+    assert side == [FREE, SETTLED, SETTLED, SETTLED, SETTLED, SINK]
+    assert (frozenset({1}) | set(reached), frozenset(cut)) == from_scratch(
         example_uniform, {1, 2, 3}, {5}, pinned=6
     )
     with pytest.raises(ValueError, match="settled"):
-        min_cut_partition(adj, 6, {1, 2}, {5}, {1})
+        min_cut_partition(adj, 6, {1, 2}, side_list(example_uniform, {5}, {1}))
 
 
 def test_settled_search_matches_from_scratch_on_random_networks():
@@ -219,10 +251,11 @@ def test_settled_search_matches_from_scratch_on_random_networks():
             continue  # a settled node would touch the sink
         pinned = rng.randint(1, net.arc_count)
         adj = RecordingRows(adjacency(net))
-        reached, got = min_cut_partition(adj, pinned, grown, {net.sink}, side)
+        marks = side_list(net, sinks={net.sink}, settled=side)
+        reached, got = min_cut_partition(adj, pinned, grown, marks)
         assert not side & set(reached)
         assert not side & set(adj.read)
-        assert (side | set(reached), got) == from_scratch(
+        assert (side | set(reached), frozenset(got)) == from_scratch(
             net, side | grown, {net.sink}, pinned
         )
         checked += 1
