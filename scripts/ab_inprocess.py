@@ -18,7 +18,13 @@ and the stages. If any decomposition part, status, answer (compared by
 printed and the script exits 1. Otherwise it times
 ``--rounds`` passes of the workload per side, alternating which side runs
 first, and prints each side's median and quartiles in seconds per pass,
-the change/parent ratio of the medians and how many rounds the change won:
+the change/parent ratio of the medians and how many rounds the change won.
+Each solve is timed on its own too, and each side's ``solves_per_s``
+(the instance count over the sum of each instance's median solve time)
+and ``solve_s.p50`` (the median of those medians) are printed as
+perfbench/run.py defines them, without its speed-probe scaling: a pass
+time is dominated by the slowest instances, and can hide a move of the
+median one.
 
     python3 scripts/ab_inprocess.py ../parent . --workload grid --backend qb2
 """
@@ -94,11 +100,25 @@ def first_difference(parent: tuple, change: tuple) -> tuple | None:
     return None
 
 
-def timed_pass(program, networks, backend: str) -> float:
-    start = time.perf_counter()
+def timed_pass(program, networks, backend: str) -> list[float]:
+    """The seconds each network's solve took, in order."""
+    times = []
     for network in networks:
+        start = time.perf_counter()
         program.run_backend(network, backend)
-    return time.perf_counter() - start
+        times.append(time.perf_counter() - start)
+    return times
+
+
+def solve_rates(passes: list[list[float]]) -> tuple[float, float]:
+    """(solves_per_s, solve_s.p50) of per-instance solve times, one list per pass.
+
+    Each instance's time is its median over the passes, as in
+    perfbench/run.py: solves_per_s is the instance count over the sum of
+    those medians, and solve_s.p50 their median.
+    """
+    medians = [statistics.median(times) for times in zip(*passes)]
+    return len(medians) / sum(medians), statistics.median(medians)
 
 
 def main(argv=None) -> int:
@@ -170,17 +190,25 @@ def compare(programs: dict, instances: list, args) -> int:
         f"instances agree ({checked})"
     )
 
-    times: dict[str, list[float]] = {side: [] for side in SIDES}
+    passes: dict[str, list[list[float]]] = {side: [] for side in SIDES}
     for r in range(args.rounds):
         for side in SIDES if r % 2 == 0 else SIDES[::-1]:
-            times[side].append(timed_pass(programs[side], networks[side], args.backend))
+            passes[side].append(timed_pass(programs[side], networks[side], args.backend))
+    times = {side: [sum(solves) for solves in passes[side]] for side in SIDES}
     stats = {side: statistics.quantiles(times[side], n=4) for side in SIDES}
+    rates = {side: solve_rates(passes[side]) for side in SIDES}
     for side in SIDES:
         q1, median, q3 = stats[side]
         print(f"{side:<6} median {median:.6f} s  q1 {q1:.6f}  q3 {q3:.6f}")
+    for side in SIDES:
+        per_s, p50 = rates[side]
+        print(f"{side:<6} {args.backend}.solves_per_s {per_s:.1f}  "
+              f"{args.backend}.solve_s.p50 {p50:.6f} s")
     wins = sum(c < p for p, c in zip(times["parent"], times["change"]))
     ratio = stats["change"][1] / stats["parent"][1]
     print(f"change/parent {ratio:.3f}, change won {wins}/{args.rounds} rounds")
+    per_s, p50 = (rates["change"][i] / rates["parent"][i] for i in (0, 1))
+    print(f"change/parent solves_per_s {per_s:.3f}, solve_s.p50 {p50:.3f}")
     return 0
 
 

@@ -2,33 +2,35 @@
 
 Each stage vector collapses to a small boolean matrix recording which
 stage source nodes reach which stage target nodes; equal matrices pool
-their probability. A stage is tabulated half by half, split where its
-probability tables split (``half_probability_tables``): a depth-first
-walk over the high arcs reaches each high leaf with the partition it
-induces on the interface (the low arcs' endpoints and the boundary
-nodes), and every high leaf with the same partition reuses one table
-from matrix bits to its low leaves. That table is worked out for all
-low leaves at once, one bit per leaf in Python ints, by relaxing reach
-across the low arcs (``_low_half``). Masses are still added per vector
-in integer order, the order a per-vector sweep (``stm_from_vector`` over
-``range(2^g)``) would use, so the tables are bit-identical to that
-sweep. Folding consecutive stages is a boolean max-min matrix product.
-Stage one has a single source node, so the accumulator is always one
-row, as wide as the next stage has rows: a product is the OR of the
-stage rows that the accumulator's bits select.
+their probability. Which vectors give which matrix is worked out for
+many vectors at once, one bit per vector in Python ints, by relaxing
+reach across the arcs (``_slice``). A stage of up to 13 arcs is sliced
+whole, every vector at once. A wider stage is tabulated half by half,
+split where its probability tables split (``half_probability_tables``):
+a depth-first walk over the high arcs reaches each high leaf with the
+partition it induces on the interface (the low arcs' endpoints and the
+boundary nodes), and every high leaf with the same partition reuses one
+slice of the low leaves (``_low_half``). Masses are still added per
+vector in integer order, the order a per-vector sweep
+(``stm_from_vector`` over ``range(2^g)``) would use, so the tables are
+bit-identical to that sweep. Folding consecutive stages is a boolean
+max-min matrix product. Stage one has a single source node, so the
+accumulator is always one row, as wide as the next stage has rows: a
+product is the OR of the stage rows that the accumulator's bits select.
 ``reliability_qb2`` works on these plain ints and builds no matrix
 objects; ``tabulate_stage`` and ``convolve_sets`` wrap the same cores
 and return ``WeightedStmSet`` views of their results.
 
 Only tabulation keeps structure across stages. Which leaf gives which
 matrix depends only on a stage's local shape, and the arithmetic is the
-probability sums. One ``reliability_qb2`` call keeps the leaf matrices
-in a local dict keyed by shape, so on a long chain of like stages each
-shape is walked once and every stage redoes only its sums, in the same
-order as before. Folds keep nothing: each product is worked out again
-from the bits of its pair. Nothing of a network outlives the call (the
-low arcs' leaf patterns, ``_arc_leaves``, depend on the shift alone),
-and ``tabulate_stage`` starts from an empty dict.
+probability sums. One ``reliability_qb2`` call keeps the slices of the
+stages it sliced whole in a local dict keyed by shape, so on a long
+chain of like stages each shape is sliced once and every stage redoes
+only its sums, in the same order as before. Folds keep nothing: each
+product is worked out again from the bits of its pair. Nothing of a
+network outlives the call (the arcs' leaf patterns, ``_arc_leaves``,
+depend on the arc count alone), and ``tabulate_stage`` starts from an
+empty dict.
 """
 
 from __future__ import annotations
@@ -48,9 +50,14 @@ from .decompose import Stage, decompose
 from .network import Network
 from .unionfind import find, union
 
-# Below this many low arcs (at most 8 low leaves per high leaf) a key
-# costs more than the low work it saves, so the stage is walked whole.
-_KEYED_SHIFT = 4
+# Below this many low arcs (at most 64 low leaves per high leaf, so at
+# most 13 arcs) a key costs more than the low work it saves, so the stage
+# is sliced whole; at 14 arcs or more the outer walk over keys pays.
+_KEYED_SHIFT = 7
+# Sliced stage shapes one solve keeps: each holds at most 16 selectors of
+# at most 8 KiB (13 arcs), so at most 8 MiB in all; past this, a new
+# shape is sliced again at each of its stages.
+_SHAPES = 64
 # Low-half leaves one stage tabulation keeps in its memo (about 8 MiB of
 # list slots); past this, a key's low half is worked out again, not stored.
 _MEMO_LEAVES = 1 << 20
@@ -173,21 +180,19 @@ def stm_from_vector(network: Network, stage: Stage, bits: int) -> SourceTargetMa
     return SourceTargetMatrix(len(source_roots), len(target_roots), out)
 
 
-def _walk(parent, size, arc_u, arc_v, lo, hi, nodes, targets=None) -> list:
-    """Read the forest at every state of arcs lo..hi-1, in integer order.
+def _walk(parent, size, arc_u, arc_v, lo, hi, nodes) -> list[tuple[int, ...]]:
+    """Read the partition of nodes at every state of arcs lo..hi-1, in integer order.
 
     A depth-first walk decides arc hi-1 first and arc lo last, taking
     each 0-branch before its 1-branch, and carries the merges of the set
     arcs in the forest: union by size with an undo trail of real merges
     and no path compression, so backtracking costs O(1) per merge made
-    below a frame. With targets, nodes are the source nodes and each
-    leaf gives the bits of its source-target matrix, row-major with row 0
-    at the low bits. Without, each leaf gives the partition of nodes: for
+    below a frame. Each leaf gives the partition of nodes as a key: for
     each node, the position of the first node in its set. The walk
     leaves the forest changed.
     """
     trail: list[int] = []
-    outs: list = []
+    keys: list[tuple[int, ...]] = []
     # Frames (k, mark): arcs k..hi-1 are decided and arcs below k are
     # still open. Every frame but the root is the 1-branch of arc k,
     # whose merge is made when the frame pops.
@@ -217,37 +222,20 @@ def _walk(parent, size, arc_u, arc_v, lo, hi, nodes, targets=None) -> list:
         while k > lo:
             k -= 1
             stack.append((k, mark))
-        if targets is None:
-            roots = []
-            for x in nodes:
-                while parent[x] != x:
-                    x = parent[x]
-                roots.append(x)
-            # from a list, not tuple(map(...)): on CPython that left
-            # thousands of spare key-sized tuples on the free lists
-            outs.append(tuple([roots.index(r) for r in roots]))
-            continue
-        target_roots = []
-        for x in targets:
-            while parent[x] != x:
-                x = parent[x]
-            target_roots.append(x)
-        out = 0
-        bit = 1
+        roots = []
         for x in nodes:
             while parent[x] != x:
                 x = parent[x]
-            for rt in target_roots:
-                if x == rt:
-                    out |= bit
-                bit <<= 1
-        outs.append(out)
-    return outs
+            roots.append(x)
+        # from a list, not tuple(map(...)): on CPython that left
+        # thousands of spare key-sized tuples on the free lists
+        keys.append(tuple([roots.index(r) for r in roots]))
+    return keys
 
 
 @cache
 def _arc_leaves(shift: int) -> tuple[int, ...]:
-    """For each low arc i < shift, the 2^shift-bit int of the leaves that set it.
+    """For each arc i < shift, the 2^shift-bit int of the leaves that set it.
 
     Leaf j sets arc i when bit i of j is 1: runs of 2^i clear and 2^i
     set bits, doubled out to 2^shift bits. The patterns depend on shift
@@ -264,29 +252,29 @@ def _arc_leaves(shift: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _low_half(key, low_u, low_v, shift, sources, targets, low) -> tuple[dict, int]:
-    """The low half under one key, its leaves grouped by matrix.
+def _slice(key, arc_u, arc_v, shift, sources, targets) -> tuple[dict[int, bytes], int]:
+    """Group every leaf of arcs 0..shift-1 by its matrix, all leaves at once.
 
-    The key gives each interface node its block: the position of the
-    first interface node in its set. Every low leaf is worked at once,
-    as one bit of a 2^shift-bit int (leaf j on bit j). For each source
-    block, reach[b] holds the leaves in which the source block reaches
-    block b: the source block starts at every leaf, and each low arc i
-    between two blocks passes reach across where it is set
-    (``_arc_leaves``) until nothing changes. A low arc inside one block
-    joins nothing and is dropped. Entry (r, c) of a leaf's matrix is
-    its bit in reach of source r at the block of target c, and the
-    entries split the leaves into groups of equal matrix.
+    The key gives each node its block: the position of the first node in
+    its set (the identity when no arc is decided outside the slice). Every
+    leaf is one bit of a 2^shift-bit int (leaf j on bit j). For each
+    source block, reach[b] holds the leaves in which the source block
+    reaches block b: the source block starts at every leaf, and each arc
+    i between two blocks passes reach across where it is set
+    (``_arc_leaves``) until nothing changes. An arc inside one block
+    joins nothing and is dropped. Entry (r, c) of a leaf's matrix is its
+    bit in reach of source r at the block of target c, and the entries
+    split the leaves into groups of equal matrix.
 
-    Returns (by_matrix, zeros): by_matrix maps the bits of each matrix,
+    Returns (selectors, zeros): selectors maps the bits of each matrix,
     in the order of each group's lowest leaf (the order the matrices
-    first appear in integer order), to the low-table entries of its
-    leaves in integer order; zeros counts the leaves whose matrix is all
-    zero.
+    first appear in integer order), to its selector for
+    ``itertools.compress``: byte j is 1 when leaf j has that matrix.
+    zeros counts the leaves whose matrix is all zero.
     """
     full = (1 << (1 << shift)) - 1
     arcs = []
-    for u, v, leaves in zip(low_u, low_v, _arc_leaves(shift)):
+    for u, v, leaves in zip(arc_u, arc_v, _arc_leaves(shift)):
         if key[u] != key[v]:
             arcs.append((key[u], key[v], leaves))
     reaches: dict[int, list[int]] = {}
@@ -316,12 +304,27 @@ def _low_half(key, low_u, low_v, shift, sources, targets, low) -> tuple[dict, in
             if on != leaves:
                 split[out] = leaves ^ on
         groups = split
-    size = ((1 << shift) + 7) >> 3
-    by_matrix = {}
+    selectors = {}
     for out, leaves in sorted(groups.items(), key=lambda group: group[1] & -group[1]):
-        chunks = map(_SELECTORS.__getitem__, leaves.to_bytes(size, "little"))
-        by_matrix[out] = list(compress(low, b"".join(chunks)))
-    return by_matrix, groups.get(0, 0).bit_count()
+        if shift <= 3:  # at most 8 leaves: one byte
+            selectors[out] = _SELECTORS[leaves]
+        else:
+            chunks = leaves.to_bytes(1 << (shift - 3), "little")
+            selectors[out] = b"".join(map(_SELECTORS.__getitem__, chunks))
+    return selectors, groups.get(0, 0).bit_count()
+
+
+def _low_half(key, low_u, low_v, shift, sources, targets, low) -> tuple[dict, int]:
+    """The low half under one key, its leaves grouped by matrix (``_slice``).
+
+    The key is the partition a high leaf induces on the interface nodes.
+    Returns (by_matrix, zeros): by_matrix maps the bits of each matrix,
+    in the order the matrices first appear in integer order, to the
+    low-table entries of its leaves in integer order; zeros counts the
+    leaves whose matrix is all zero.
+    """
+    selectors, zeros = _slice(key, low_u, low_v, shift, sources, targets)
+    return {out: list(compress(low, sel)) for out, sel in selectors.items()}, zeros
 
 
 def tabulate_stage(
@@ -331,7 +334,9 @@ def tabulate_stage(
     counters: Counters | None = None,
 ) -> WeightedStmSet:
     """Pool the connectivity matrix of every stage vector (``_tabulate``)."""
-    pooled, discarded = _tabulate(network, stage, budget, counters or Counters(), {})
+    pooled, discarded = _tabulate(
+        network, stage, budget, counters or Counters(), {}, discard=True
+    )
     return WeightedStmSet(
         len(stage.source_nodes), len(stage.target_nodes), pooled, discarded
     )
@@ -342,37 +347,42 @@ def _tabulate(
     stage: Stage,
     budget: Budget | None,
     counters: Counters,
-    walks: dict,
-) -> tuple[dict[int, float], float]:
+    shapes: dict,
+    discard: bool = False,
+) -> tuple[dict[int, float], float | None]:
     """Pool the connectivity matrix of every stage vector, by matrix bits.
 
     Vector ``bits`` weighs ``low[bits & (2^shift - 1)] * high[bits >> shift]``
     (``half_probability_tables``). Every pooled mass is the same sum, in
     the same order, as a per-vector sweep over ``range(2^g)``, so entries,
     their order, ``discarded`` and the counters are bit-identical to it.
-    The all-zero matrix is dropped and its mass returned as discarded.
+    The all-zero matrix is dropped and its mass returned as discarded; a
+    stage sliced whole sums that mass only with ``discard``, and returns
+    None for it without.
 
-    A stage with _KEYED_SHIFT or more low arcs is split at that shift. An
-    outer walk over the high arcs meets the high leaves hb in increasing
-    order and reads each one's key: the partition its arcs induce on the
-    interface, which is the low arcs' endpoints and the source and target
-    nodes. The key fixes the matrix of every low completion j, so high
-    leaves with equal keys share one table from matrix bits to their low
-    leaves, worked out bit-sliced over every low leaf at once
-    (``_low_half``) and kept in a per-stage memo of at most _MEMO_LEAVES
-    leaves. Each high leaf adds ``low[j] * high[hb]`` to its matrix for j
-    in increasing order.
+    A stage of fewer than 2 * _KEYED_SHIFT arcs is sliced whole: every
+    leaf of its g arcs at once (``_slice``, each node its own block). Its
+    leaf matrices depend only on its local shape: the node count, each
+    arc's local endpoints in stage order and the local sources and
+    targets, a node's local index being its position in the stage's node
+    list. ``shapes`` maps the shape to its selectors, so a caller that
+    passes one dict for many stages (``reliability_qb2`` does, for one
+    solve) slices each shape once, while it holds fewer than _SHAPES,
+    and each stage adds up only its own masses: ``low[j & mask] *
+    high[j >> shift]`` for every leaf j, each matrix's picked out by its
+    selector and added in integer order.
 
-    A smaller stage is walked whole, and its leaf matrices depend only on
-    its local shape: the node count, each arc's local endpoints in stage
-    order and the local sources and targets, a node's local index being
-    its position in the stage's node list. ``walks`` maps the shape to
-    its leaf matrices and their zero count, so a caller that passes one
-    dict for many stages (``reliability_qb2`` does, for one solve) walks
-    each shape once and each stage adds up only its own masses. A budget
-    is checked before leaf 0 and, in a keyed stage, at every high leaf
-    whose first vector index is a multiple of budget.STRIDE, whether or
-    not the shape or key was walked before.
+    A wider stage is split at its shift. An outer walk over the high arcs
+    meets the high leaves hb in increasing order and reads each one's
+    key: the partition its arcs induce on the interface, which is the low
+    arcs' endpoints and the source and target nodes. The key fixes the
+    matrix of every low completion j, so high leaves with equal keys
+    share one table from matrix bits to their low leaves (``_low_half``),
+    kept in a per-stage memo of at most _MEMO_LEAVES leaves. Each high
+    leaf adds ``low[j] * high[hb]`` to its matrix for j in increasing
+    order. A budget is checked before leaf 0 and, in a keyed stage, at
+    every high leaf whose first vector index is a multiple of
+    budget.STRIDE, whether or not the shape or key was met before.
     """
     g = len(stage.arc_ids)
     arcs = [network.arcs[arc_id - 1] for arc_id in stage.arc_ids]
@@ -383,26 +393,39 @@ def _tabulate(
     arc_v = [local(a.v) for a in arcs]
     sources = tuple(map(local, stage.source_nodes))
     targets = tuple(map(local, stage.target_nodes))
-    if budget is not None:  # the stage's check, made before any walk
+    if budget is not None:  # the stage's check, made before any slice or walk
         budget.check()
-    # matrix bits -> mass; the all-zero matrix 0 is popped as discarded
-    pooled: dict[int, float] = {}
-    get = pooled.get
 
     if shift < _KEYED_SHIFT:
-        # too few low leaves per high leaf for a key to pay: walk every
-        # arc, once per shape, and pool leaf by leaf
+        # too few low leaves per high leaf for a key to pay: slice every
+        # arc at once, once per shape
         shape = (n, *arc_u, *arc_v, sources, targets)
-        walk = walks.get(shape)
-        if walk is None:
-            outs = _walk(list(range(n)), [1] * n, arc_u, arc_v, 0, g, sources, targets)
-            walk = walks[shape] = (outs, outs.count(0))
-        outs, zeros = walk
+        sliced = shapes.get(shape)
+        if sliced is None:
+            selectors, zeros = _slice(range(n), arc_u, arc_v, g, sources, targets)
+            zero = selectors.pop(0, b"")
+            # a matrix of one leaf keeps its index, and no selector
+            matrices = [
+                (out, sel.index(1), sel if sel.count(1) > 1 else None)
+                for out, sel in selectors.items()
+            ]
+            sliced = (matrices, zero, zeros)
+            if len(shapes) < _SHAPES:
+                shapes[shape] = sliced
+        matrices, zero, zeros = sliced
         # low[j] * high[hb] for every vector; without low arcs, just high
         masses = [x * y for y in high for x in low] if shift else high
-        for out, mass in zip(outs, masses):
-            pooled[out] = get(out, 0.0) + mass
+        pooled = {}
+        for out, first, sel in matrices:
+            # one matrix's leaves, added left to right in integer order
+            if sel is None:
+                pooled[out] = masses[first]
+            else:
+                pooled[out] = reduce(add, compress(masses, sel))
+        discarded = reduce(add, compress(masses, zero), 0.0) if discard else None
     else:
+        pooled = {}
+        get = pooled.get
         interface = sorted({*arc_u[:shift], *arc_v[:shift], *sources, *targets})
         keys = _walk(list(range(n)), [1] * n, arc_u, arc_v, shift, g, interface)
         at = {node: i for i, node in enumerate(interface)}
@@ -427,7 +450,7 @@ def _tabulate(
             # new matrix starts from 0.0 + mass == mass
             for out, lows in by_matrix.items():
                 pooled[out] = reduce(add, map(mul, lows, repeat(h)), get(out, 0.0))
-    discarded = pooled.pop(0, 0.0)
+        discarded = pooled.pop(0, 0.0)
     counters.multiplications += 1 << g
     counters.summations += (1 << g) - zeros - len(pooled)
     return pooled, discarded
@@ -498,9 +521,9 @@ def reliability_qb2(
     budget is checked once per stage, in ``_tabulate``. Returns the total
     mass of the surviving final matrices, which are all the 1x1 connected
     matrix. Both steps pool by matrix bits in plain dicts; no matrix
-    object is built. The walks of stage shapes are kept in a dict local
+    object is built. The slices of stage shapes are kept in a dict local
     to this call, so like stages share them and only redo their
-    probability sums.
+    probability sums; the all-zero matrix's mass is never summed.
     Summation order is fixed (stage order, enumeration order within a
     stage, insertion order in folds) so repeated solves are bit-identical.
     A stage wider than DEFAULT_ENUMERATION_CAP arcs raises
@@ -518,10 +541,10 @@ def reliability_qb2(
             f"qb2 stage {widest.index} has {width} arcs, above the cap of "
             f"{DEFAULT_ENUMERATION_CAP}; its 2^{width} vectors are not enumerated",
         )
-    walks: dict = {}
+    shapes: dict = {}
     acc = None
     for stage in stages:
-        pooled, _ = _tabulate(network, stage, budget, counters, walks)
+        pooled, _ = _tabulate(network, stage, budget, counters, shapes)
         counters.stage_stm_counts.append(len(pooled))
         if acc is None:  # stage 1 has one source: a one-row accumulator
             acc = pooled

@@ -71,3 +71,20 @@ def test_changed_tie_rule_is_named_by_its_decomposition(tmp_path, capsys):
     assert "agree" not in out and "change won" not in out
     assert ab_inprocess.main(ab_args(ROOT, "qb2", "grid")) == 0
     assert "instances agree (answers, counters and decompositions)" in capsys.readouterr().out
+
+
+def test_solve_rates_follow_perfbench():
+    # three passes over two instances: medians 0.1 and 0.3 s
+    passes = [[0.1, 0.5], [0.2, 0.3], [0.1, 0.2]]
+    per_s, p50 = load_script().solve_rates(passes)
+    assert per_s == 2 / (0.1 + 0.3)
+    assert p50 == (0.1 + 0.3) / 2
+
+
+def test_rates_are_printed_per_side(capsys):
+    assert load_script().main(ab_args(ROOT, "qb2", "grid")) == 0
+    out = capsys.readouterr().out
+    for side in ("parent", "change"):
+        line = next(line for line in out.splitlines() if line.startswith(f"{side} qb2."))
+        assert "qb2.solves_per_s " in line and "qb2.solve_s.p50 " in line
+    assert "change/parent solves_per_s " in out

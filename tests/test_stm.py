@@ -397,24 +397,56 @@ def reference_tabulation(net, stage):
 
 
 def keyed_shape(stage):
-    """(sources, targets) of a stage tabulated by key, else None."""
-    if len(stage.arc_ids) // 2 >= stm._KEYED_SHIFT:
-        return len(stage.source_nodes), len(stage.target_nodes)
-    return None
+    """(keyed, sources, targets) of a stage: keyed is True when it is
+    tabulated by key, False when it is sliced whole."""
+    keyed = len(stage.arc_ids) // 2 >= stm._KEYED_SHIFT
+    return keyed, len(stage.source_nodes), len(stage.target_nodes)
 
 
 @functools.cache
 def two_by_two_networks():
-    """Seeded random networks with a keyed 2x2 stage and no stage over 16
-    arcs: 16 of 400 at seed 7."""
+    """Seeded random networks with a 2x2 stage of 8 arcs or more and no
+    stage over 16 arcs: 16 of 400 at seed 7."""
     rng = random.Random(7)
     nets = [random_network(rng, (8, 14), (10, 20)) for _ in range(400)]
     return [
         net
         for net, stages in ((net, decompose(net).stages) for net in nets)
         if max(len(stage.arc_ids) for stage in stages) <= 16
-        and (2, 2) in map(keyed_shape, stages)
+        and any(
+            len(stage.arc_ids) >= 8 and keyed_shape(stage)[1:] == (2, 2)
+            for stage in stages
+        )
     ]
+
+
+@functools.cache
+def keyed_pool():
+    """Seeded random networks with a keyed stage and no stage over 15 arcs:
+    47 of 400 at seed 23."""
+    rng = random.Random(23)
+    nets = [random_network(rng, (8, 14), (16, 22)) for _ in range(400)]
+    return [
+        net
+        for net, stages in ((net, decompose(net).stages) for net in nets)
+        if max(len(stage.arc_ids) for stage in stages) <= 15
+        and any(keyed_shape(stage)[0] for stage in stages)
+    ]
+
+
+@functools.cache
+def keyed_networks():
+    """The first two networks of keyed_pool() with a keyed stage of each
+    (sources, targets)."""
+    picked = {}
+    for net in keyed_pool():
+        for stage in decompose(net).stages:
+            keyed, *shape = keyed_shape(stage)
+            if keyed:
+                nets = picked.setdefault(tuple(shape), [])
+                if len(nets) < 2 and net not in nets:
+                    nets.append(net)
+    return list(dict.fromkeys(net for nets in picked.values() for net in nets))
 
 
 def test_tabulation_matches_per_vector_reference(example_uniform, example_mixed):
@@ -422,7 +454,7 @@ def test_tabulation_matches_per_vector_reference(example_uniform, example_mixed)
     nets += [build(GeneratorSpec("grid", k, 0.9, seed=k)) for k in (2, 3, 4)]
     rng = random.Random(79)
     nets += [random_network(rng) for _ in range(200)]
-    nets += two_by_two_networks()
+    nets += two_by_two_networks() + keyed_networks()
     shapes = set()
     for net in nets:
         for stage in decompose(net).stages:
@@ -433,21 +465,104 @@ def test_tabulation_matches_per_vector_reference(example_uniform, example_mixed)
             assert list(ws.entries.items()) == entries
             assert ws.discarded == discarded
             assert counters == want
-    assert {(1, 1), (1, 2), (2, 1), (2, 2)} <= shapes
+    # every boundary shape, both sliced whole and by key
+    for keyed in (False, True):
+        assert {(keyed, 1, 1), (keyed, 1, 2), (keyed, 2, 1), (keyed, 2, 2)} <= shapes
+
+
+def stages_of_every_width():
+    """For each width 1..13, the first few stages of that many arcs among
+    seeded random networks of up to 13 arcs, as (network, stage) pairs."""
+    rng = random.Random(97)
+    found = {g: [] for g in range(1, 14)}
+    while any(len(pairs) < 6 for pairs in found.values()):
+        net = random_network(rng, (2, 12), (1, 13))
+        for stage in decompose(net).stages:
+            pairs = found[len(stage.arc_ids)]
+            if len(pairs) < 6:
+                pairs.append((net, stage))
+    return [pair for pairs in found.values() for pair in pairs]
+
+
+def test_sliced_stages_match_reference_at_every_width():
+    pairs = stages_of_every_width()
+    assert {len(stage.arc_ids) for _, stage in pairs} == set(range(1, 14))
+    for net, stage in pairs:
+        assert not keyed_shape(stage)[0]
+        counters = Counters()
+        ws = tabulate_stage(net, stage, counters=counters)
+        entries, discarded, want = reference_tabulation(net, stage)
+        assert list(ws.entries.items()) == entries
+        assert ws.discarded == discarded
+        assert counters == want
+    # a two-row stage, and a node that is both a source and a target
+    assert any(len(stage.source_nodes) == 2 for _, stage in pairs)
+    assert any(set(stage.source_nodes) & set(stage.target_nodes) for _, stage in pairs)
+
+
+def pooled_hex(ws):
+    return [(bits, mass.hex()) for bits, mass in ws.pooled.items()]
+
+
+def test_sliced_stages_match_keyed_path(monkeypatch):
+    pairs = [(net, stage) for net, stage in stages_of_every_width() if len(stage.arc_ids) >= 8]
+    pairs += [
+        (net, stage)
+        for net in two_by_two_networks()
+        for stage in decompose(net).stages
+        if 8 <= len(stage.arc_ids) <= 13
+    ]
+    sliced = []
+    for net, stage in pairs:
+        counters = Counters()
+        ws = tabulate_stage(net, stage, counters=counters)
+        sliced.append((pooled_hex(ws), ws.discarded.hex(), counters))
+    low_halves = []
+    low_half = stm._low_half
+    monkeypatch.setattr(
+        "relengine.stm._low_half", lambda *args: low_halves.append(1) or low_half(*args)
+    )
+    monkeypatch.setattr("relengine.stm._KEYED_SHIFT", 4)
+    for (net, stage), want in zip(pairs, sliced):
+        low_halves.clear()
+        counters = Counters()
+        ws = tabulate_stage(net, stage, counters=counters)
+        assert low_halves  # the stage went by key
+        assert (pooled_hex(ws), ws.discarded.hex(), counters) == want
+    widths = {len(stage.arc_ids) for _, stage in pairs}
+    assert widths == set(range(8, 14))
+    assert any(keyed_shape(stage)[1:] == (2, 2) for _, stage in pairs)
 
 
 def per_leaf_low_half(key, low_u, low_v, shift, sources, targets, low):
-    """stm._low_half as one depth-first walk over the low leaves
-    (``stm._walk`` from the key's forest), reading each leaf's matrix."""
-    size = [key.count(i) for i in range(len(key))]
-    outs = stm._walk(list(key), size, low_u, low_v, 0, shift, sources, targets)
+    """stm._low_half leaf by leaf: each low leaf unions its set arcs on a
+    fresh copy of the key (a forest whose roots are the first node of each
+    set) and reads its matrix, row-major with row 0 at the low bits."""
+
+    def root(parent, x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
     by_matrix = {}
-    for out, mass in zip(outs, low):
-        if out in by_matrix:
-            by_matrix[out].append(mass)
-        else:
-            by_matrix[out] = [mass]
-    return by_matrix, outs.count(0)
+    zeros = 0
+    for leaf, mass in zip(range(1 << shift), low):
+        parent = list(key)
+        for i, (u, v) in enumerate(zip(low_u, low_v)):
+            if leaf >> i & 1:
+                parent[root(parent, u)] = root(parent, v)
+        out = 0
+        bit = 1
+        target_roots = [root(parent, t) for t in targets]
+        for s in sources:
+            rs = root(parent, s)
+            for rt in target_roots:
+                if rs == rt:
+                    out |= bit
+                bit <<= 1
+        by_matrix.setdefault(out, []).append(mass)
+        zeros += out == 0
+    return by_matrix, zeros
 
 
 def test_low_half_matches_per_leaf_walk(monkeypatch):
@@ -464,7 +579,8 @@ def test_low_half_matches_per_leaf_walk(monkeypatch):
 
     monkeypatch.setattr("relengine.stm._low_half", checked)
     rng = random.Random(79)
-    nets = [random_network(rng) for _ in range(200)] + two_by_two_networks()
+    nets = [random_network(rng) for _ in range(200)]
+    nets += two_by_two_networks() + keyed_pool()
     for net in nets:
         for stage in decompose(net).stages:
             tabulate_stage(net, stage)
@@ -572,19 +688,24 @@ def test_qb2_builds_no_matrix_objects(monkeypatch):
 def test_qb2_walks_each_stage_shape_once(monkeypatch, family, k, shapes):
     net = build(GeneratorSpec(family, k, 0.9, seed=k))
     stages = decompose(net).stages
-    walks = []
-    walk = stm._walk
+    slices = []
+    slice_ = stm._slice
 
-    def counting_walk(*args):
-        walks.append(args)
-        return walk(*args)
+    def counting_slice(*args):
+        slices.append(args)
+        return slice_(*args)
 
-    monkeypatch.setattr("relengine.stm._walk", counting_walk)
+    monkeypatch.setattr("relengine.stm._slice", counting_slice)
     r, counters = reliability_qb2(net)
     assert len(stages) >= k
-    assert len(walks) == shapes
+    assert len(slices) == shapes
     want, want_counters = reference_fold(net)
     assert (r.hex(), counters) == (want.hex(), want_counters)
+    # with no room for shapes, every stage is sliced again, to the same bits
+    monkeypatch.setattr("relengine.stm._SHAPES", 0)
+    slices.clear()
+    assert reliability_qb2(net) == (r, counters)
+    assert len(slices) == len(stages)
 
 
 def test_qb2_keeps_nothing_between_solves():
