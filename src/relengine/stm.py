@@ -7,9 +7,9 @@ many vectors at once, one bit per vector in Python ints, by relaxing
 reach across the arcs (``_slice``). A stage of up to 13 arcs is sliced
 whole, every vector at once. A wider stage is tabulated half by half,
 split where its probability tables split (``half_probability_tables``):
-a depth-first walk over the high arcs reaches each high leaf with the
-partition it induces on the interface (the low arcs' endpoints and the
-boundary nodes), and every high leaf with the same partition reuses one
+the partition each high leaf induces on the interface (the low arcs'
+endpoints and the boundary nodes) is built by doubling, one merge per
+leaf (``_keys``), and every high leaf with the same partition reuses one
 slice of the low leaves (``_low_half``). Masses are still added per
 vector in integer order, the order a per-vector sweep
 (``stm_from_vector`` over ``range(2^g)``) would use, so the tables are
@@ -52,7 +52,7 @@ from .unionfind import find, union
 
 # Below this many low arcs (at most 64 low leaves per high leaf, so at
 # most 13 arcs) a key costs more than the low work it saves, so the stage
-# is sliced whole; at 14 arcs or more the outer walk over keys pays.
+# is sliced whole; at 14 arcs or more the keys pay.
 _KEYED_SHIFT = 7
 # Sliced stage shapes one solve keeps: each holds at most 16 selectors of
 # at most 8 KiB (13 arcs), so at most 8 MiB in all; past this, a new
@@ -180,57 +180,34 @@ def stm_from_vector(network: Network, stage: Stage, bits: int) -> SourceTargetMa
     return SourceTargetMatrix(len(source_roots), len(target_roots), out)
 
 
-def _walk(parent, size, arc_u, arc_v, lo, hi, nodes) -> list[tuple[int, ...]]:
-    """Read the partition of nodes at every state of arcs lo..hi-1, in integer order.
+def _keys(n, arc_u, arc_v, width) -> list[tuple[int, ...]]:
+    """The partition of nodes below width at every leaf of the arcs, in integer order.
 
-    A depth-first walk decides arc hi-1 first and arc lo last, taking
-    each 0-branch before its 1-branch, and carries the merges of the set
-    arcs in the forest: union by size with an undo trail of real merges
-    and no path compression, so backtracking costs O(1) per merge made
-    below a frame. Each leaf gives the partition of nodes as a key: for
-    each node, the position of the first node in its set. The walk
-    leaves the forest changed.
+    Leaves are built by doubling (the partition update of Carlier and
+    Lucet): leaf 0 puts each of the n nodes in its own block, and after
+    arc k the list gains leaf j + 2^k for each j < 2^k, which is leaf j's
+    labels with arc k's two blocks merged under the smaller label, or leaf
+    j's own tuple when they already share one. Each block is thus labelled
+    by its smallest node, so the key of a leaf, its first width labels,
+    gives each node below width the first such node in its set. Equal
+    keys share one tuple, and each leaf's labels are dropped as its key
+    replaces them.
     """
-    trail: list[int] = []
-    keys: list[tuple[int, ...]] = []
-    # Frames (k, mark): arcs k..hi-1 are decided and arcs below k are
-    # still open. Every frame but the root is the 1-branch of arc k,
-    # whose merge is made when the frame pops.
-    stack = [(hi, 0)]
-    while stack:
-        k, mark = stack.pop()
-        while len(trail) > mark:  # roll back the merges made below mark
-            x = trail.pop()
-            size[parent[x]] -= size[x]
-            parent[x] = x
-        if k < hi:
-            x = arc_u[k]
-            while parent[x] != x:
-                x = parent[x]
-            y = arc_v[k]
-            while parent[y] != y:
-                y = parent[y]
-            if x != y:
-                if size[x] > size[y]:
-                    x, y = y, x
-                parent[x] = y
-                size[y] += size[x]
-                trail.append(x)
-        # follow the 0-branches down to the leaf, leaving each 1-branch
-        # on the stack; open arcs merge nothing, so they share one mark
-        mark = len(trail)
-        while k > lo:
-            k -= 1
-            stack.append((k, mark))
-        roots = []
-        for x in nodes:
-            while parent[x] != x:
-                x = parent[x]
-            roots.append(x)
-        # from a list, not tuple(map(...)): on CPython that left
-        # thousands of spare key-sized tuples on the free lists
-        keys.append(tuple([roots.index(r) for r in roots]))
-    return keys
+    leaves = [tuple(range(n))]
+    for u, v in zip(arc_u, arc_v):
+        for j in range(len(leaves)):
+            labels = leaves[j]
+            a, b = labels[u], labels[v]
+            if a != b:
+                if a > b:
+                    a, b = b, a
+                labels = tuple([a if x == b else x for x in labels])
+            leaves.append(labels)
+    keys: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for j, labels in enumerate(leaves):
+        key = labels[:width]
+        leaves[j] = keys.setdefault(key, key)
+    return leaves
 
 
 @cache
@@ -372,10 +349,10 @@ def _tabulate(
     high[j >> shift]`` for every leaf j, each matrix's picked out by its
     selector and added in integer order.
 
-    A wider stage is split at its shift. An outer walk over the high arcs
-    meets the high leaves hb in increasing order and reads each one's
-    key: the partition its arcs induce on the interface, which is the low
-    arcs' endpoints and the source and target nodes. The key fixes the
+    A wider stage is split at its shift. Every high leaf hb, in
+    increasing order, has a key (``_keys``, with the interface numbered
+    first): the partition its arcs induce on the interface, which is the
+    low arcs' endpoints and the source and target nodes. The key fixes the
     matrix of every low completion j, so high leaves with equal keys
     share one table from matrix bits to their low leaves (``_low_half``),
     kept in a per-stage memo of at most _MEMO_LEAVES leaves. Each high
@@ -393,7 +370,7 @@ def _tabulate(
     arc_v = [local(a.v) for a in arcs]
     sources = tuple(map(local, stage.source_nodes))
     targets = tuple(map(local, stage.target_nodes))
-    if budget is not None:  # the stage's check, made before any slice or walk
+    if budget is not None:  # the stage's check, made before any slice or key
         budget.check()
 
     if shift < _KEYED_SHIFT:
@@ -427,10 +404,14 @@ def _tabulate(
         pooled = {}
         get = pooled.get
         interface = sorted({*arc_u[:shift], *arc_v[:shift], *sources, *targets})
-        keys = _walk(list(range(n)), [1] * n, arc_u, arc_v, shift, g, interface)
-        at = {node: i for i, node in enumerate(interface)}
-        low_u = [at[x] for x in arc_u[:shift]]
-        low_v = [at[x] for x in arc_v[:shift]]
+        # the interface first, in order: a block's smallest node is then
+        # its first interface node
+        order = interface + [x for x in range(n) if x not in interface]
+        at = {x: i for i, x in enumerate(order)}
+        arc_u = [at[x] for x in arc_u]
+        arc_v = [at[x] for x in arc_v]
+        keys = _keys(n, arc_u[shift:], arc_v[shift:], len(interface))
+        low_u, low_v = arc_u[:shift], arc_v[:shift]
         sources = [at[x] for x in sources]
         targets = [at[x] for x in targets]
         memo: dict[tuple[int, ...], tuple] = {}

@@ -3,11 +3,13 @@
 The caller owns the list (``parent = list(range(size))``), so a fresh
 forest costs one list copy and the hot loops pay no attribute lookups.
 ``find`` and ``union`` compress paths, and serve the landmarks, the
-per-vector matrices and network validation. The two depth-first walks
-(``quickbat.reliability_quick_bat`` and ``stm._walk``) cannot compress:
-they keep union by size and a trail of real merges, so backtracking
-rolls the forest back, and each does so inline in its loop, because a
-function call per root walk costs more than the walk itself.
+per-vector matrices and network validation. The depth-first walk of
+``quickbat.reliability_quick_bat`` cannot compress: it keeps union by
+size and a trail of real merges, so backtracking rolls the forest back,
+and it does so inline in its loop, because a function call per root walk
+costs more than the walk itself. ``stm._keys`` keeps no forest: it
+doubles a list of block labels, one merge per high leaf. The oracle
+keeps its own union-find.
 """
 
 from __future__ import annotations

@@ -1,6 +1,9 @@
+import ast
 import functools
 import math
 import random
+import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -198,10 +201,38 @@ def test_oracle_with_bounded_memo_is_bit_identical(monkeypatch, memo_bytes):
 
 
 def test_oracle_at_the_cap_is_the_product_of_a_series():
-    # 30 arcs in series: two keys, and one connected vector among 2^30
+    # 30 arcs in series: two keys, and one connected vector among 2^30.
+    # Each key's 2^15 low leaves are swept one forest at a time, about
+    # 2.5 MiB traced at the peak; the bound leaves room for lists of both
+    # halves' 2^15 leaf partitions (about 17 MiB).
     net = build(GeneratorSpec("series", 30, 0.99))
     assert net.arc_count == DEFAULT_ENUMERATION_CAP
-    assert abs(reliability_oracle(net) - math.prod(net.probabilities())) <= 1e-10
+    tracemalloc.start()
+    try:
+        r = reliability_oracle(net)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(r - math.prod(net.probabilities())) <= 1e-10
+    assert peak <= 32 * 2**20
+
+
+def test_oracle_imports_only_budget_and_network():
+    # the oracle is the independent reference: of relengine it may use
+    # only the budget and the network, never another backend's code
+    tree = ast.parse(Path(bat.__file__).read_text())
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                used.add(node.module or "")
+            elif node.module.split(".")[0] == "relengine":
+                used.add(node.module.partition(".")[2])
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "relengine":
+                    used.add(alias.name.partition(".")[2])
+    assert used == {"budget", "network"}
 
 
 class CountingBudget:

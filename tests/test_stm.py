@@ -816,18 +816,18 @@ def test_tabulation_checks_budget_before_walking_a_wide_stage(monkeypatch):
     stage = decompose(net).stages[1]
     assert len(stage.arc_ids) == 30
 
-    def no_walk(*args, **kwargs):
-        raise AssertionError("the stage was walked")
+    def no_keys(*args, **kwargs):
+        raise AssertionError("a key was built")
 
     with monkeypatch.context() as patched:
-        patched.setattr("relengine.stm._walk", no_walk)
+        patched.setattr("relengine.stm._keys", no_keys)
         budget = CountingBudget(1)
         with pytest.raises(BudgetExceeded):
             tabulate_stage(net, stage, budget)
         assert budget.calls == 1
-        # building the tables checks nothing: one check, then the walk
+        # building the tables checks nothing: one check, then the keys
         budget = CountingBudget()
-        with pytest.raises(AssertionError, match="walked"):
+        with pytest.raises(AssertionError, match="key was built"):
             tabulate_stage(net, stage, budget)
         assert budget.calls == 1
     # with shift 15, the next check comes at high leaf 1
@@ -835,6 +835,57 @@ def test_tabulation_checks_budget_before_walking_a_wide_stage(monkeypatch):
     with pytest.raises(BudgetExceeded):
         tabulate_stage(net, stage, budget)
     assert budget.calls == 2
+
+
+class KeysBuilt(Exception):
+    """Stops a tabulation once its high-leaf keys are built."""
+
+
+def test_keys_at_the_cap_match_a_per_leaf_union_find(monkeypatch):
+    # 2^15 high leaves of a 30-arc stage, each key held to a union-find of
+    # its own set arcs; the doubled keys trace about 6 MiB at the peak
+    net = build(GeneratorSpec("grid", 7, 0.9))
+    stage = decompose(net).stages[1]
+    assert len(stage.arc_ids) == 30
+    built = []
+    keys = stm._keys
+
+    def traced_keys(*args):
+        tracemalloc.start()
+        try:
+            built.append(keys(*args))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
+        raise KeysBuilt
+
+    monkeypatch.setattr("relengine.stm._keys", traced_keys)
+    with pytest.raises(KeysBuilt):
+        tabulate_stage(net, stage)
+    (got,) = built
+    assert len(got) == 1 << 15
+
+    local = stage.node_ids.index
+    arcs = [(local(net.arcs[a - 1].u), local(net.arcs[a - 1].v)) for a in stage.arc_ids]
+    low, high = arcs[:15], arcs[15:]
+    interface = sorted(
+        {*(x for arc in low for x in arc), *map(local, stage.source_nodes),
+         *map(local, stage.target_nodes)}
+    )
+
+    def root(parent, x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for hb, key in enumerate(got):
+        parent = list(range(len(stage.node_ids)))
+        for i, (u, v) in enumerate(high):
+            if hb >> i & 1:
+                parent[root(parent, u)] = root(parent, v)
+        roots = [root(parent, x) for x in interface]
+        assert key == tuple(roots.index(r) for r in roots), hb
 
 
 def test_tabulation_checks_budget_within_a_high_leaf(monkeypatch):
