@@ -8,8 +8,8 @@ per-vector matrices and network validation. The depth-first walk of
 size and a trail of real merges, so backtracking rolls the forest back,
 and it does so inline in its loop, because a function call per root walk
 costs more than the walk itself. ``stm._keys`` keeps no forest: it
-doubles a list of block labels, one merge per high leaf. The oracle
-keeps its own union-find.
+doubles a list of block labels, one merge per high leaf, and the
+oracle (``bat._leaves``) keeps its own copy of that loop.
 """
 
 from __future__ import annotations

@@ -168,13 +168,13 @@ def test_oracle_is_bit_identical_to_per_vector_sweep():
 
 @pytest.mark.parametrize("memo_bytes", [0, 300])
 def test_oracle_with_bounded_memo_is_bit_identical(monkeypatch, memo_bytes):
-    # 0: every high leaf unions its low half again; 300: the first keys
-    # (8 bytes a key slot or selected mass) are stored and later ones
+    # 0: every high leaf builds its low half again; 300: the first keys
+    # (8 bytes a key label or selected mass) are stored and later ones
     # rebuilt, side by side in one sweep
     sweeps = []
-    roots = bat._roots
+    leaves = bat._leaves
     monkeypatch.setattr(
-        "relengine.bat._roots", lambda *args: sweeps.append(1) or roots(*args)
+        "relengine.bat._leaves", lambda *args: sweeps.append(1) or leaves(*args)
     )
 
     def low_sweeps():
@@ -183,7 +183,7 @@ def test_oracle_with_bounded_memo_is_bit_identical(monkeypatch, memo_bytes):
             if net.arc_count <= 12:
                 sweeps.clear()
                 assert reliability_oracle(net).hex() == want
-                count += len(sweeps) - 1  # the first sweep is the high half
+                count += len(sweeps) - 1  # the first call builds the high half
         return count
 
     keys = low_sweeps()
@@ -200,11 +200,69 @@ def test_oracle_with_bounded_memo_is_bit_identical(monkeypatch, memo_bytes):
         assert keys < bounded < high_leaves
 
 
+def root(parent, x):
+    while parent[x] != x:
+        x = parent[x]
+    return x
+
+
+def first_positions(parent, nodes):
+    """For each of `nodes`, the position of the first of them in its set."""
+    first = {}
+    return tuple(first.setdefault(root(parent, x), i) for i, x in enumerate(nodes))
+
+
+class Stop(Exception):
+    pass
+
+
+def test_oracle_doubles_the_partitions_a_union_find_gives(monkeypatch):
+    # Every high leaf's key, and the low half of the first key that joins
+    # two interface nodes, against one union-find per leaf. The oracle is
+    # stopped there, before its 2^30-vector sum.
+    net = random_network(random.Random(25), (12, 16), (30, 30))
+    assert net.arc_count == 30
+    n, shift = net.node_count, 15
+    arcs = [(a.u, a.v) for a in net.arcs]
+    interface = sorted({1, n, *(x for arc in arcs[:shift] for x in arc)})
+    at = {node: i for i, node in enumerate(interface)}
+    calls = []
+    leaves = bat._leaves
+
+    def recording(labels, arc_u, arc_v):
+        out = leaves(labels, arc_u, arc_v)
+        calls.append((labels, out))
+        if len(calls) > 1 and len(set(labels)) < len(labels):
+            raise Stop
+        return out
+
+    monkeypatch.setattr("relengine.bat._leaves", recording)
+    with pytest.raises(Stop):
+        reliability_oracle(net)
+    # the oracle has replaced the first call's leaves by their keys
+    keys = calls[0][1]
+    assert len(keys) == 1 << shift
+    for hb, key in enumerate(keys):
+        parent = list(range(n + 1))
+        for k, (u, v) in enumerate(arcs[shift:]):
+            if hb >> k & 1:
+                parent[root(parent, u)] = root(parent, v)
+        assert tuple(key) == first_positions(parent, interface)
+    key, lows = calls[-1]
+    assert key in keys
+    assert len(lows) == 1 << shift
+    for lb, labels in enumerate(lows):
+        parent = list(key)  # a key is a forest over interface positions
+        for k, (u, v) in enumerate(arcs[:shift]):
+            if lb >> k & 1:
+                parent[root(parent, at[u])] = root(parent, at[v])
+        assert tuple(labels) == first_positions(parent, range(len(interface)))
+
+
 def test_oracle_at_the_cap_is_the_product_of_a_series():
     # 30 arcs in series: two keys, and one connected vector among 2^30.
-    # Each key's 2^15 low leaves are swept one forest at a time, about
-    # 2.5 MiB traced at the peak; the bound leaves room for lists of both
-    # halves' 2^15 leaf partitions (about 17 MiB).
+    # The 2^15 high leaves' labels, then a key's 2^15 low leaves' labels,
+    # are held as lists of byte strings: about 6 MiB traced at the peak.
     net = build(GeneratorSpec("series", 30, 0.99))
     assert net.arc_count == DEFAULT_ENUMERATION_CAP
     tracemalloc.start()

@@ -3,7 +3,8 @@
 The reference is checked exactly, as fractions, against closed forms
 written out here from those of perfbench/reference.py. Then qb2 and qbat
 are held to it to 1e-10 on networks far above the 30-arc enumeration cap,
-where the oracle cannot reach.
+where the oracle cannot reach, and the oracle is held to it just below
+that cap.
 """
 
 import random
@@ -13,6 +14,7 @@ from itertools import product
 import exact
 import pytest
 
+from relengine.bat import reliability_oracle
 from relengine.decompose import decompose
 from relengine.generators import FAMILIES, GeneratorSpec, build, random_network
 from relengine.network import make_network
@@ -172,11 +174,11 @@ def test_qbat_matches_the_exact_value_on_series_600():
     assert abs(reliability_quick_bat(net) - want) <= 1e-10
 
 
-def path_with_chords(rng):
+def path_with_chords(rng, nodes=(28, 50), chords=(3, 8)):
     """A seeded random path of 28-50 nodes with 3-8 chords of 2-5 hops."""
-    n = rng.randint(28, 50)
+    n = rng.randint(*nodes)
     pairs = [(i, i + 1) for i in range(1, n)]
-    chords = rng.randint(3, 8)
+    chords = rng.randint(*chords)
     while len(pairs) < n - 1 + chords:
         u = rng.randint(1, n - 2)
         v = rng.randint(u + 2, min(n, u + 5))
@@ -221,3 +223,38 @@ def test_qbat_and_qb2_match_the_exact_value_on_random_networks():
         want = exact_value(net.node_count, triples(net))
         assert abs(reliability_quick_bat(net) - want) <= 1e-10
         assert abs(reliability_qb2(net)[0] - want) <= 1e-10
+
+
+def breadth_first(net):
+    """The network with its arcs in the reference's breadth-first order."""
+    arcs = triples(net)
+    order = exact.bfs_arc_order(net.node_count, [(u, v) for u, v, _ in arcs])
+    return make_network(net.node_count, [arcs[i] for i in order])
+
+
+# (family, k, per-arc p range) just below the oracle's cap
+NEAR_THE_CAP = [("ladder", 8, (0.8, 0.95)), ("grid", 6, (0.6, 0.95))]
+
+
+@pytest.mark.parametrize("family, k, bounds", NEAR_THE_CAP)
+def test_oracle_matches_the_exact_value_near_its_cap(family, k, bounds):
+    net = family_network(family, k, 1, *bounds)
+    assert 26 <= net.arc_count <= 30
+    want = exact_value(net.node_count, triples(net))
+    assert 0.05 < want < 0.95
+    assert abs(reliability_oracle(net) - want) <= 1e-10
+
+
+def test_oracle_matches_the_exact_value_on_random_networks_near_its_cap():
+    # In breadth-first order the low half's arcs lie near the source, so
+    # few high leaves split the interface apart differently: these two
+    # key 2 and 4 partitions. In their drawn order they key 512 and 2,048,
+    # each with its own sweep of 2^14 low leaves, and take 40 to 160
+    # times as long.
+    rng = random.Random(31)
+    for _ in range(2):
+        net = breadth_first(path_with_chords(rng, (24, 25), (5, 6)))
+        assert 28 <= net.arc_count <= 30
+        want = exact_value(net.node_count, triples(net))
+        assert 0.05 < want < 0.95
+        assert abs(reliability_oracle(net) - want) <= 1e-10

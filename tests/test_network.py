@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import relengine
 from relengine.network import (
     Arc,
     NetworkInvariantError,
@@ -111,6 +116,21 @@ def test_parse_syntax_errors_carry_line_numbers(text, line_no):
 def test_parse_applies_network_invariants():
     with pytest.raises(NetworkInvariantError):
         parse_network("nodes 3\narc 1 2 0.5\narc 1 2 0.6\narc 2 3 0.5\n")
+
+
+def test_importing_relengine_leaves_hashlib_unloaded():
+    # hashlib costs about 3.6 MiB of RSS; only network_digest needs it, so
+    # it is imported there. The child imports the package this test did.
+    paths = [str(Path(relengine.__file__).resolve().parents[1])]
+    paths += [os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    script = (
+        "import relengine, sys\n"
+        "assert 'hashlib' not in sys.modules\n"
+        "relengine.network_digest(relengine.make_network(2, [(1, 2, 0.5)]))\n"
+        "assert 'hashlib' in sys.modules\n"
+    )
+    subprocess.run([sys.executable, "-c", script], check=True, env=env)
 
 
 def test_digest_is_stable_and_sensitive():
