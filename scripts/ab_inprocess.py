@@ -15,7 +15,10 @@ decompositions are compared as plain tuples: the shortest path, each cut
 with its ``joined`` order and ``side_size``, the regions, ``stage_arcs``
 and the stages. If any decomposition part, status, answer (compared by
 ``float.hex``) or ``counters.as_dict()`` differs, the first difference is
-printed and the script exits 1. Otherwise it times
+printed and the script exits 1. A decomposition or status difference
+ends the run there. When only answer bits or counters differ, the count
+of differing instances and the largest answer difference are printed
+too, and both sides are still timed before the exit. The timing is
 ``--rounds`` passes of the workload per side, alternating which side runs
 first, and prints each side's median and quartiles in seconds per pass,
 the change/parent ratio of the medians and how many rounds the change won.
@@ -162,6 +165,8 @@ def compare(programs: dict, instances: list, args) -> int:
         side: [program.parse_network(inst.text) for inst in instances]
         for side, program in programs.items()
     }
+    differing = 0
+    largest = 0.0
     for i, inst in enumerate(instances):
         if args.backend == "qb2":
             found = first_difference(
@@ -178,17 +183,32 @@ def compare(programs: dict, instances: list, args) -> int:
             for side in SIDES
         }
         if seen["parent"] != seen["change"]:
-            print(f"{inst.label} ({args.backend}) differs:")
-            for side in SIDES:
-                print(f"  {side:<6} {seen[side]}")
-            return 1
+            other_status = seen["parent"][0] != seen["change"][0]
+            if other_status or not differing:
+                print(f"{inst.label} ({args.backend}) differs:")
+                for side in SIDES:
+                    print(f"  {side:<6} {seen[side]}")
+            if other_status:
+                return 1
+            differing += 1
+            answers = [seen[side][1] for side in SIDES]
+            if None not in answers:
+                gap = abs(float.fromhex(answers[0]) - float.fromhex(answers[1]))
+                largest = max(largest, gap)
     checked = "answers and counters"
     if args.backend == "qb2":
         checked = "answers, counters and decompositions"
-    print(
-        f"{args.workload} seed {args.seed}, {args.backend}: {len(instances)} "
-        f"instances agree ({checked})"
-    )
+    if differing:
+        print(
+            f"{args.workload} seed {args.seed}, {args.backend}: {differing} of "
+            f"{len(instances)} instances differ in answer bits or counters, "
+            f"largest answer difference {largest:.3g}; timing both sides anyway"
+        )
+    else:
+        print(
+            f"{args.workload} seed {args.seed}, {args.backend}: {len(instances)} "
+            f"instances agree ({checked})"
+        )
 
     passes: dict[str, list[list[float]]] = {side: [] for side in SIDES}
     for r in range(args.rounds):
@@ -209,7 +229,7 @@ def compare(programs: dict, instances: list, args) -> int:
     print(f"change/parent {ratio:.3f}, change won {wins}/{args.rounds} rounds")
     per_s, p50 = (rates["change"][i] / rates["parent"][i] for i in (0, 1))
     print(f"change/parent solves_per_s {per_s:.3f}, solve_s.p50 {p50:.3f}")
-    return 0
+    return 1 if differing else 0
 
 
 if __name__ == "__main__":

@@ -28,11 +28,12 @@ from .budget import STRIDE, Budget
 from .network import Network
 
 DEFAULT_ENUMERATION_CAP = 30
-# Bytes one oracle call keeps of keys and their selected low masses,
-# counted at 8 bytes a key label or mass (1 MiB; uncapped, a 30-arc
-# network could store 2^30 masses, or 2^15 keys that select none); past
-# this, a new key's low half is swept again at each of its high leaves.
-_MEMO_BYTES = 1 << 20
+# Bytes one oracle call keeps of keys and their selected low masses, at 8
+# bytes a key label or mass; past this, a new key's low half is swept again
+# at each of its high leaves. 32 MiB holds the 9.3 MiB a 29-arc random
+# network's keys select (1 MiB made it ten times slower); uncapped, a
+# 30-arc network could store 2^30 masses, or 2^15 keys that select none.
+_MEMO_BYTES = 32 << 20
 # Each label as a one-byte string, for bytes.replace: a connected network
 # within the cap has at most 31 nodes.
 _BYTE = [bytes((i,)) for i in range(256)]
@@ -105,10 +106,10 @@ def reliability_oracle(network: Network, budget: Budget | None = None) -> float:
     Deliberately self-contained (its own partition loop; of relengine it
     imports only ``budget`` and ``network``) so the smarter backends are
     validated against an independent implementation. The split below
-    shares qb2's keyed tabulation and partition update (``stm._keys``),
-    written again here, not imported. A network of more than
-    DEFAULT_ENUMERATION_CAP arcs raises EnumerationCapExceeded before any
-    table is built.
+    builds its partitions with the update that qb2's partition DP
+    (``stm._partitions``) applies, written again here, not imported. A
+    network of more than DEFAULT_ENUMERATION_CAP arcs raises
+    EnumerationCapExceeded before any table is built.
 
     Vector ``bits`` is the high leaf ``hb = bits >> shift`` over arcs
     shift..m-1 and the low leaf ``lb = bits & (2^shift - 1)`` over arcs

@@ -3,9 +3,9 @@
 Backends poll a Budget on one stride, so a bench run can abandon an
 instance without threads or signals: the oracle at each high leaf that
 starts at a multiple of STRIDE vectors (every high leaf from 26 arcs),
-qbat every STRIDE search frames, and qb2 once per stage and every STRIDE
-vectors of a keyed stage. Tables and folds (the 30-arc cap bounds them)
-do not poll.
+qbat every STRIDE search frames, and qb2 once per sliced stage and every
+STRIDE states of each arc of a partition-DP stage. Tables and folds (the
+30-arc cap bounds them) do not poll.
 """
 
 from __future__ import annotations

@@ -2,43 +2,33 @@
 
 Each stage vector collapses to a small boolean matrix recording which
 stage source nodes reach which stage target nodes; equal matrices pool
-their probability. Which vectors give which matrix is worked out for
-many vectors at once, one bit per vector in Python ints, by relaxing
-reach across the arcs (``_slice``). A stage of up to 13 arcs is sliced
-whole, every vector at once. A wider stage is tabulated half by half,
-split where its probability tables split (``half_probability_tables``):
-the partition each high leaf induces on the interface (the low arcs'
-endpoints and the boundary nodes) is built by doubling, one merge per
-leaf (``_keys``), and every high leaf with the same partition reuses one
-slice of the low leaves (``_low_half``). Masses are still added per
-vector in integer order, the order a per-vector sweep
-(``stm_from_vector`` over ``range(2^g)``) would use, so the tables are
-bit-identical to that sweep. Folding consecutive stages is a boolean
-max-min matrix product. Stage one has a single source node, so the
-accumulator is always one row, as wide as the next stage has rows: a
-product is the OR of the stage rows that the accumulator's bits select.
+their probability. A stage of up to 13 arcs is sliced whole, one bit per
+vector in Python ints (``_slice``), and its masses are added per vector
+in integer order, so its tables are bit-identical to a per-vector sweep
+(``stm_from_vector`` over ``range(2^g)``). A wider stage goes to a
+frontier partition DP over its arcs (``_partitions``), whose cost follows
+the frontier's partitions, not 2^g, and whose tables agree with the
+sweep to rounding. Folding consecutive stages is a boolean max-min
+matrix product. Stage one has a single source node, so the accumulator
+is always one row, as wide as the next stage has rows: a product is the
+OR of the stage rows that the accumulator's bits select.
 ``reliability_qb2`` works on these plain ints and builds no matrix
 objects; ``tabulate_stage`` and ``convolve_sets`` wrap the same cores
 and return ``WeightedStmSet`` views of their results.
 
-Only tabulation keeps structure across stages. Which leaf gives which
-matrix depends only on a stage's local shape, and the arithmetic is the
-probability sums. One ``reliability_qb2`` call keeps the slices of the
-stages it sliced whole in a local dict keyed by shape, so on a long
-chain of like stages each shape is sliced once and every stage redoes
-only its sums, in the same order as before. Folds keep nothing: each
-product is worked out again from the bits of its pair. Nothing of a
-network outlives the call (the arcs' leaf patterns, ``_arc_leaves``,
-depend on the arc count alone), and ``tabulate_stage`` starts from an
-empty dict.
+Only slicing keeps structure across stages: one ``reliability_qb2`` call
+keeps each stage shape's slice in a local dict (``_tabulate``), so like
+stages redo only their sums. Folds keep nothing, and nothing of a
+network outlives the call: the arcs' leaf patterns (``_arc_leaves``)
+depend on the arc count alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache, reduce
-from itertools import compress, repeat
-from operator import add, mul
+from itertools import compress
+from operator import add
 
 from .bat import (
     DEFAULT_ENUMERATION_CAP,
@@ -50,17 +40,13 @@ from .decompose import Stage, decompose
 from .network import Network
 from .unionfind import find, union
 
-# Below this many low arcs (at most 64 low leaves per high leaf, so at
-# most 13 arcs) a key costs more than the low work it saves, so the stage
-# is sliced whole; at 14 arcs or more the keys pay.
-_KEYED_SHIFT = 7
+# Stages of up to this many arcs are sliced whole (2^13 leaves a slice);
+# a wider one goes to the partition DP, whose states are far fewer.
+_SLICED_ARCS = 13
 # Sliced stage shapes one solve keeps: each holds at most 16 selectors of
 # at most 8 KiB (13 arcs), so at most 8 MiB in all; past this, a new
 # shape is sliced again at each of its stages.
 _SHAPES = 64
-# Low-half leaves one stage tabulation keeps in its memo (about 8 MiB of
-# list slots); past this, a key's low half is worked out again, not stored.
-_MEMO_LEAVES = 1 << 20
 # The selector bytes of a byte of leaves: leaf k of the byte on byte k.
 _SELECTORS = [bytes([(b >> k) & 1 for k in range(8)]) for b in range(256)]
 
@@ -180,43 +166,13 @@ def stm_from_vector(network: Network, stage: Stage, bits: int) -> SourceTargetMa
     return SourceTargetMatrix(len(source_roots), len(target_roots), out)
 
 
-def _keys(n, arc_u, arc_v, width) -> list[tuple[int, ...]]:
-    """The partition of nodes below width at every leaf of the arcs, in integer order.
-
-    Leaves are built by doubling (the partition update of Carlier and
-    Lucet): leaf 0 puts each of the n nodes in its own block, and after
-    arc k the list gains leaf j + 2^k for each j < 2^k, which is leaf j's
-    labels with arc k's two blocks merged under the smaller label, or leaf
-    j's own tuple when they already share one. Each block is thus labelled
-    by its smallest node, so the key of a leaf, its first width labels,
-    gives each node below width the first such node in its set. Equal
-    keys share one tuple, and each leaf's labels are dropped as its key
-    replaces them.
-    """
-    leaves = [tuple(range(n))]
-    for u, v in zip(arc_u, arc_v):
-        for j in range(len(leaves)):
-            labels = leaves[j]
-            a, b = labels[u], labels[v]
-            if a != b:
-                if a > b:
-                    a, b = b, a
-                labels = tuple([a if x == b else x for x in labels])
-            leaves.append(labels)
-    keys: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for j, labels in enumerate(leaves):
-        key = labels[:width]
-        leaves[j] = keys.setdefault(key, key)
-    return leaves
-
-
 @cache
 def _arc_leaves(shift: int) -> tuple[int, ...]:
     """For each arc i < shift, the 2^shift-bit int of the leaves that set it.
 
     Leaf j sets arc i when bit i of j is 1: runs of 2^i clear and 2^i
     set bits, doubled out to 2^shift bits. The patterns depend on shift
-    alone, so they are built once per shift (at most 15 ints of 4 KiB).
+    alone, so they are built once per shift (at most 13 ints of 1 KiB).
     """
     out = []
     for i in range(shift):
@@ -229,19 +185,16 @@ def _arc_leaves(shift: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _slice(key, arc_u, arc_v, shift, sources, targets) -> tuple[dict[int, bytes], int]:
-    """Group every leaf of arcs 0..shift-1 by its matrix, all leaves at once.
+def _slice(n, arc_u, arc_v, sources, targets) -> tuple[dict[int, bytes], int]:
+    """Group every leaf of the arcs by its matrix, all leaves at once.
 
-    The key gives each node its block: the position of the first node in
-    its set (the identity when no arc is decided outside the slice). Every
-    leaf is one bit of a 2^shift-bit int (leaf j on bit j). For each
-    source block, reach[b] holds the leaves in which the source block
-    reaches block b: the source block starts at every leaf, and each arc
-    i between two blocks passes reach across where it is set
-    (``_arc_leaves``) until nothing changes. An arc inside one block
-    joins nothing and is dropped. Entry (r, c) of a leaf's matrix is its
-    bit in reach of source r at the block of target c, and the entries
-    split the leaves into groups of equal matrix.
+    Every leaf of the g arcs is one bit of a 2^g-bit int (leaf j on bit
+    j). For each source, reach[x] holds the leaves in which the source
+    reaches node x (of nodes 0..n-1): the source starts at every leaf,
+    and each arc i passes reach across where it is set (``_arc_leaves``)
+    until nothing changes. Entry (r, c) of a leaf's matrix is its bit in
+    reach of source r at target c, and the entries split the leaves into
+    groups of equal matrix.
 
     Returns (selectors, zeros): selectors maps the bits of each matrix,
     in the order of each group's lowest leaf (the order the matrices
@@ -249,28 +202,23 @@ def _slice(key, arc_u, arc_v, shift, sources, targets) -> tuple[dict[int, bytes]
     ``itertools.compress``: byte j is 1 when leaf j has that matrix.
     zeros counts the leaves whose matrix is all zero.
     """
-    full = (1 << (1 << shift)) - 1
-    arcs = []
-    for u, v, leaves in zip(arc_u, arc_v, _arc_leaves(shift)):
-        if key[u] != key[v]:
-            arcs.append((key[u], key[v], leaves))
-    reaches: dict[int, list[int]] = {}
+    g = len(arc_u)
+    full = (1 << (1 << g)) - 1
+    arcs = list(zip(arc_u, arc_v, _arc_leaves(g)))
     entries = []
     for s in sources:
-        reach = reaches.get(key[s])
-        if reach is None:
-            reach = reaches[key[s]] = [0] * len(key)
-            reach[key[s]] = full
-            changed = True
-            while changed:
-                changed = False
-                for a, b, leaves in arcs:
-                    gain = (reach[a] ^ reach[b]) & leaves
-                    if gain:
-                        reach[a] |= gain
-                        reach[b] |= gain
-                        changed = True
-        entries.extend([reach[key[t]] for t in targets])
+        reach = [0] * n
+        reach[s] = full
+        changed = True
+        while changed:
+            changed = False
+            for a, b, leaves in arcs:
+                gain = (reach[a] ^ reach[b]) & leaves
+                if gain:
+                    reach[a] |= gain
+                    reach[b] |= gain
+                    changed = True
+        entries.extend([reach[t] for t in targets])
     groups = {0: full}
     for pos, entry in enumerate(entries):
         split = {}
@@ -283,25 +231,72 @@ def _slice(key, arc_u, arc_v, shift, sources, targets) -> tuple[dict[int, bytes]
         groups = split
     selectors = {}
     for out, leaves in sorted(groups.items(), key=lambda group: group[1] & -group[1]):
-        if shift <= 3:  # at most 8 leaves: one byte
-            selectors[out] = _SELECTORS[leaves]
-        else:
-            chunks = leaves.to_bytes(1 << (shift - 3), "little")
-            selectors[out] = b"".join(map(_SELECTORS.__getitem__, chunks))
+        chunks = leaves.to_bytes(max(1, (1 << g) >> 3), "little")  # 8 leaves a byte
+        selectors[out] = b"".join(map(_SELECTORS.__getitem__, chunks))
     return selectors, groups.get(0, 0).bit_count()
 
 
-def _low_half(key, low_u, low_v, shift, sources, targets, low) -> tuple[dict, int]:
-    """The low half under one key, its leaves grouped by matrix (``_slice``).
+def _partitions(n, arc_u, arc_v, probs, sources, targets, budget):
+    """Pool the matrix of every vector of the arcs by a frontier partition DP.
 
-    The key is the partition a high leaf induces on the interface nodes.
-    Returns (by_matrix, zeros): by_matrix maps the bits of each matrix,
-    in the order the matrices first appear in integer order, to the
-    low-table entries of its leaves in integer order; zeros counts the
-    leaves whose matrix is all zero.
+    The update of Rosenthal (1977) and of Carlier and Lucet (1996), over
+    nodes 0..n-1 and the arcs in order. The frontier holds the sources and
+    targets throughout, and any other node from its first arc to its
+    last. A state is the frontier's blocks, labelled by first occurrence;
+    arc k of probability p sends one of mass m to itself, failed, with
+    m * (1 - p), and merged across the arc with m * p (kept whole when
+    its ends share a block). Then the nodes whose last arc is k leave and
+    equal states pool. A final state's matrix has entry (i, j) set when
+    source i and target j share a block. The budget is checked every
+    STRIDE states of each arc, the first time before any. Returns the
+    nonzero matrices' masses by bits, the all-zero one's mass, the mass
+    products made and the additions into an existing pooled entry.
     """
-    selectors, zeros = _slice(key, low_u, low_v, shift, sources, targets)
-    return {out: list(compress(low, sel)) for out, sel in selectors.items()}, zeros
+    last = [-1] * n
+    for k, (u, v) in enumerate(zip(arc_u, arc_v)):
+        last[u] = last[v] = k
+    frontier = list(dict.fromkeys((*sources, *targets)))
+    for x in frontier:
+        last[x] = len(arc_u)  # the boundary stays to the end
+    states = {tuple(range(len(frontier))): 1.0}
+    products = additions = 0
+    for k, (u, v, p) in enumerate(zip(arc_u, arc_v, probs)):
+        # labels are below the frontier's width, so a joining node's is new
+        fresh = [x for x in (u, v) if x not in frontier]
+        joining = tuple(range(len(frontier), len(frontier) + len(fresh)))
+        frontier += fresh
+        iu, iv = frontier.index(u), frontier.index(v)
+        keep = [i for i, x in enumerate(frontier) if last[x] > k]
+        frontier = [frontier[i] for i in keep]
+        q = 1.0 - p
+        pooled: dict[tuple[int, ...], float] = {}
+        get = pooled.get
+        splits = 0
+        for j, (labels, mass) in enumerate(states.items()):
+            if budget is not None and j % STRIDE == 0:
+                budget.check()
+            labels += joining
+            a, b = labels[iu], labels[iv]
+            if a == b:
+                branches = ((labels, mass),)
+            else:
+                splits += 1
+                joined = tuple([a if x == b else x for x in labels])
+                branches = ((labels, mass * q), (joined, mass * p))
+            for branch, m in branches:
+                names: dict[int, int] = {}
+                key = tuple([names.setdefault(branch[i], len(names)) for i in keep])
+                pooled[key] = get(key, 0.0) + m
+        products += 2 * splits
+        additions += len(states) + splits - len(pooled)
+        states = pooled
+    pairs = [(frontier.index(s), frontier.index(t)) for s in sources for t in targets]
+    pooled = {}
+    for labels, mass in states.items():
+        out = sum(1 << bit for bit, (i, j) in enumerate(pairs) if labels[i] == labels[j])
+        pooled[out] = pooled.get(out, 0.0) + mass
+    additions += len(states) - len(pooled)
+    return pooled, pooled.pop(0, 0.0), products, additions
 
 
 def tabulate_stage(
@@ -329,109 +324,64 @@ def _tabulate(
 ) -> tuple[dict[int, float], float | None]:
     """Pool the connectivity matrix of every stage vector, by matrix bits.
 
-    Vector ``bits`` weighs ``low[bits & (2^shift - 1)] * high[bits >> shift]``
-    (``half_probability_tables``). Every pooled mass is the same sum, in
-    the same order, as a per-vector sweep over ``range(2^g)``, so entries,
-    their order, ``discarded`` and the counters are bit-identical to it.
-    The all-zero matrix is dropped and its mass returned as discarded; a
-    stage sliced whole sums that mass only with ``discard``, and returns
-    None for it without.
-
-    A stage of fewer than 2 * _KEYED_SHIFT arcs is sliced whole: every
-    leaf of its g arcs at once (``_slice``, each node its own block). Its
-    leaf matrices depend only on its local shape: the node count, each
-    arc's local endpoints in stage order and the local sources and
-    targets, a node's local index being its position in the stage's node
-    list. ``shapes`` maps the shape to its selectors, so a caller that
-    passes one dict for many stages (``reliability_qb2`` does, for one
-    solve) slices each shape once, while it holds fewer than _SHAPES,
-    and each stage adds up only its own masses: ``low[j & mask] *
-    high[j >> shift]`` for every leaf j, each matrix's picked out by its
-    selector and added in integer order.
-
-    A wider stage is split at its shift. Every high leaf hb, in
-    increasing order, has a key (``_keys``, with the interface numbered
-    first): the partition its arcs induce on the interface, which is the
-    low arcs' endpoints and the source and target nodes. The key fixes the
-    matrix of every low completion j, so high leaves with equal keys
-    share one table from matrix bits to their low leaves (``_low_half``),
-    kept in a per-stage memo of at most _MEMO_LEAVES leaves. Each high
-    leaf adds ``low[j] * high[hb]`` to its matrix for j in increasing
-    order. A budget is checked before leaf 0 and, in a keyed stage, at
-    every high leaf whose first vector index is a multiple of
-    budget.STRIDE, whether or not the shape or key was met before.
+    Nodes are numbered by their position in the stage's node list, and
+    the all-zero matrix's mass is returned as discarded. A stage of more
+    than _SLICED_ARCS arcs goes to the partition DP (``_partitions``),
+    which builds no probability tables and checks the budget itself. A
+    smaller one is sliced whole (``_slice``), vector ``bits`` weighing
+    ``low[bits & (2^shift - 1)] * high[bits >> shift]``
+    (``half_probability_tables``): its entries, their order, ``discarded``
+    (summed only with ``discard``, else None) and the counters are
+    bit-identical to a per-vector sweep over ``range(2^g)``. A slice
+    depends only on the stage's local shape (node count, arc endpoints in
+    stage order, sources and targets), so a caller that passes one
+    ``shapes`` dict for many stages slices each shape once, while it holds
+    fewer than _SHAPES, and each stage adds up only its own masses. The
+    budget is checked before the slice, whether or not the shape was met
+    before.
     """
     g = len(stage.arc_ids)
     arcs = [network.arcs[arc_id - 1] for arc_id in stage.arc_ids]
-    low, high, shift = half_probability_tables([a.p for a in arcs])
-    local = stage.node_ids.index  # a node's position in the stage's node list
+    local = stage.node_ids.index
     n = len(stage.node_ids)
     arc_u = [local(a.u) for a in arcs]
     arc_v = [local(a.v) for a in arcs]
     sources = tuple(map(local, stage.source_nodes))
     targets = tuple(map(local, stage.target_nodes))
-    if budget is not None:  # the stage's check, made before any slice or key
+    if g > _SLICED_ARCS:
+        pooled, discarded, products, additions = _partitions(
+            n, arc_u, arc_v, [a.p for a in arcs], sources, targets, budget
+        )
+        counters.multiplications += products
+        counters.summations += additions
+        return pooled, discarded
+    if budget is not None:
         budget.check()
-
-    if shift < _KEYED_SHIFT:
-        # too few low leaves per high leaf for a key to pay: slice every
-        # arc at once, once per shape
-        shape = (n, *arc_u, *arc_v, sources, targets)
-        sliced = shapes.get(shape)
-        if sliced is None:
-            selectors, zeros = _slice(range(n), arc_u, arc_v, g, sources, targets)
-            zero = selectors.pop(0, b"")
-            # a matrix of one leaf keeps its index, and no selector
-            matrices = [
-                (out, sel.index(1), sel if sel.count(1) > 1 else None)
-                for out, sel in selectors.items()
-            ]
-            sliced = (matrices, zero, zeros)
-            if len(shapes) < _SHAPES:
-                shapes[shape] = sliced
-        matrices, zero, zeros = sliced
-        # low[j] * high[hb] for every vector; without low arcs, just high
-        masses = [x * y for y in high for x in low] if shift else high
-        pooled = {}
-        for out, first, sel in matrices:
-            # one matrix's leaves, added left to right in integer order
-            if sel is None:
-                pooled[out] = masses[first]
-            else:
-                pooled[out] = reduce(add, compress(masses, sel))
-        discarded = reduce(add, compress(masses, zero), 0.0) if discard else None
-    else:
-        pooled = {}
-        get = pooled.get
-        interface = sorted({*arc_u[:shift], *arc_v[:shift], *sources, *targets})
-        # the interface first, in order: a block's smallest node is then
-        # its first interface node
-        order = interface + [x for x in range(n) if x not in interface]
-        at = {x: i for i, x in enumerate(order)}
-        arc_u = [at[x] for x in arc_u]
-        arc_v = [at[x] for x in arc_v]
-        keys = _keys(n, arc_u[shift:], arc_v[shift:], len(interface))
-        low_u, low_v = arc_u[:shift], arc_v[:shift]
-        sources = [at[x] for x in sources]
-        targets = [at[x] for x in targets]
-        memo: dict[tuple[int, ...], tuple] = {}
-        zeros = 0
-        for hb, key in enumerate(keys):
-            if budget is not None and hb and (hb << shift) % STRIDE == 0:
-                budget.check()
-            half = memo.get(key)
-            if half is None:
-                half = _low_half(key, low_u, low_v, shift, sources, targets, low)
-                if (len(memo) + 1) << shift <= _MEMO_LEAVES:
-                    memo[key] = half
-            by_matrix, half_zeros = half
-            zeros += half_zeros
-            h = high[hb]
-            # one matrix's leaves, added left to right in integer order; a
-            # new matrix starts from 0.0 + mass == mass
-            for out, lows in by_matrix.items():
-                pooled[out] = reduce(add, map(mul, lows, repeat(h)), get(out, 0.0))
-        discarded = pooled.pop(0, 0.0)
+    shape = (n, *arc_u, *arc_v, sources, targets)
+    sliced = shapes.get(shape)
+    if sliced is None:
+        selectors, zeros = _slice(n, arc_u, arc_v, sources, targets)
+        zero = selectors.pop(0, b"")
+        # a matrix of one leaf keeps its index, and no selector
+        matrices = [
+            (out, sel.index(1), sel if sel.count(1) > 1 else None)
+            for out, sel in selectors.items()
+        ]
+        sliced = (matrices, zero, zeros)
+        if len(shapes) < _SHAPES:
+            shapes[shape] = sliced
+    matrices, zero, zeros = sliced
+    low, high, shift = half_probability_tables([a.p for a in arcs])
+    # low[j] * high[hb] for every vector; without low arcs, just high
+    masses = [x * y for y in high for x in low] if shift else high
+    pooled = {}
+    for out, first, sel in matrices:
+        # one matrix's leaves, added left to right in integer order
+        if sel is None:
+            pooled[out] = masses[first]
+        else:
+            pooled[out] = reduce(add, compress(masses, sel))
+    discarded = reduce(add, compress(masses, zero), 0.0) if discard else None
     counters.multiplications += 1 << g
     counters.summations += (1 << g) - zeros - len(pooled)
     return pooled, discarded
@@ -499,14 +449,14 @@ def reliability_qb2(
 
     Tabulates each stage in order (``_tabulate``) and folds its pooled set
     into the accumulator, with pooling after each fold (``_fold``); the
-    budget is checked once per stage, in ``_tabulate``. Returns the total
-    mass of the surviving final matrices, which are all the 1x1 connected
-    matrix. Both steps pool by matrix bits in plain dicts; no matrix
-    object is built. The slices of stage shapes are kept in a dict local
-    to this call, so like stages share them and only redo their
-    probability sums; the all-zero matrix's mass is never summed.
-    Summation order is fixed (stage order, enumeration order within a
-    stage, insertion order in folds) so repeated solves are bit-identical.
+    budget is checked in ``_tabulate``. Returns the total mass of the
+    surviving final matrices, which are all the 1x1 connected matrix.
+    Both steps pool by matrix bits in plain dicts; no matrix object is
+    built. The slices of stage shapes are kept in a dict local to this
+    call, so like stages share them and only redo their probability sums.
+    Summation order is fixed (stage order, then enumeration order in a
+    sliced stage or arc and state order in a DP one, insertion order in
+    folds), so repeated solves are bit-identical.
     A stage wider than DEFAULT_ENUMERATION_CAP arcs raises
     EnumerationCapExceeded before any table is built.
     """

@@ -7,9 +7,8 @@ per-vector matrices and network validation. The depth-first walk of
 ``quickbat.reliability_quick_bat`` cannot compress: it keeps union by
 size and a trail of real merges, so backtracking rolls the forest back,
 and it does so inline in its loop, because a function call per root walk
-costs more than the walk itself. ``stm._keys`` keeps no forest: it
-doubles a list of block labels, one merge per high leaf, and the
-oracle (``bat._leaves``) keeps its own copy of that loop.
+costs more than the walk itself. The oracle's ``bat._leaves`` and qb2's
+``stm._partitions`` keep no forest: a merge relabels one block of labels.
 """
 
 from __future__ import annotations

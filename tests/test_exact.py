@@ -3,8 +3,8 @@
 The reference is checked exactly, as fractions, against closed forms
 written out here from those of perfbench/reference.py. Then qb2 and qbat
 are held to it to 1e-10 on networks far above the 30-arc enumeration cap,
-where the oracle cannot reach, and the oracle is held to it just below
-that cap.
+where the oracle cannot reach, qb2 on stages of 20-30 arcs too, and the
+oracle is held to it just below that cap.
 """
 
 import random
@@ -192,8 +192,7 @@ def narrow_random_networks(count):
     """The first seeded random networks of 36-40 arcs that qb2 answers fast.
 
     A random draw of this size often has one stage of 20-38 arcs, which
-    qb2 refuses above 30 and takes seconds for above 20; these keep every
-    stage at 16 arcs or fewer.
+    qb2 refuses above 30; these keep every stage at 16 arcs or fewer.
     """
     rng = random.Random(3)
     while count:
@@ -209,6 +208,31 @@ def test_qb2_matches_the_exact_value_on_random_networks_above_the_cap():
     nets += narrow_random_networks(3)
     for net in nets:
         assert 31 <= net.arc_count <= 60
+        want = exact_value(net.node_count, triples(net))
+        assert abs(reliability_qb2(net)[0] - want) <= 1e-10
+
+
+@pytest.mark.parametrize("k", [5, 6, 7])
+def test_qb2_matches_the_exact_value_on_wide_grid_stages(k):
+    # one stage of 5k - 5 arcs (20, 25 and 30), tabulated by the partition DP
+    net = family_network("grid", k, 1, 0.6, 0.95)
+    assert max(len(stage.arc_ids) for stage in decompose(net).stages) == 5 * k - 5
+    want = exact_value(net.node_count, triples(net))
+    assert 0.05 < want < 0.95
+    assert abs(reliability_qb2(net)[0] - want) <= 1e-10
+
+
+def test_qb2_matches_the_exact_value_on_random_wide_stages():
+    # the first eight seeded random networks whose widest stage has 14-30
+    # arcs (20-28 at this seed), plus one of 29 arcs with a 28-arc stage
+    rng = random.Random(37)
+    nets = []
+    while len(nets) < 8:
+        net = random_network(rng, (8, 20), (14, 30))
+        if 14 <= max(len(stage.arc_ids) for stage in decompose(net).stages) <= 30:
+            nets.append(net)
+    nets.append(random_network(random.Random(0), (20, 28), (28, 30)))
+    for net in nets:
         want = exact_value(net.node_count, triples(net))
         assert abs(reliability_qb2(net)[0] - want) <= 1e-10
 

@@ -2,6 +2,7 @@ import functools
 import math
 import random
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,6 +28,7 @@ from relengine.stm import (
     stm_from_vector,
     tabulate_stage,
 )
+import exact
 from conftest import build_example
 from vectors import bits_from_states
 
@@ -374,7 +376,7 @@ def test_tabulation_order_is_deterministic(example_uniform):
 def reference_tabulation(net, stage):
     """Pool stm_from_vector over range(2^g) with the same half-table products.
 
-    Cached per (network, stage), since three tests tabulate the same
+    Cached per (network, stage), since two tests tabulate the same
     stages; callers must not change what it returns.
     """
     probs = [net.arcs[arc_id - 1].p for arc_id in stage.arc_ids]
@@ -396,11 +398,11 @@ def reference_tabulation(net, stage):
     return list(entries.items()), discarded, counters
 
 
-def keyed_shape(stage):
-    """(keyed, sources, targets) of a stage: keyed is True when it is
-    tabulated by key, False when it is sliced whole."""
-    keyed = len(stage.arc_ids) // 2 >= stm._KEYED_SHIFT
-    return keyed, len(stage.source_nodes), len(stage.target_nodes)
+def tabulated_shape(stage):
+    """(by_dp, sources, targets) of a stage: by_dp is True when it goes to
+    the partition DP, False when it is sliced whole."""
+    by_dp = len(stage.arc_ids) > stm._SLICED_ARCS
+    return by_dp, len(stage.source_nodes), len(stage.target_nodes)
 
 
 @functools.cache
@@ -414,39 +416,41 @@ def two_by_two_networks():
         for net, stages in ((net, decompose(net).stages) for net in nets)
         if max(len(stage.arc_ids) for stage in stages) <= 16
         and any(
-            len(stage.arc_ids) >= 8 and keyed_shape(stage)[1:] == (2, 2)
+            len(stage.arc_ids) >= 8 and tabulated_shape(stage)[1:] == (2, 2)
             for stage in stages
         )
     ]
 
 
 @functools.cache
-def keyed_pool():
-    """Seeded random networks with a keyed stage and no stage over 15 arcs:
-    47 of 400 at seed 23."""
+def dp_networks():
+    """The first two of 400 seeded random networks with no stage over 15
+    arcs that have a DP stage of each (sources, targets)."""
     rng = random.Random(23)
-    nets = [random_network(rng, (8, 14), (16, 22)) for _ in range(400)]
-    return [
-        net
-        for net, stages in ((net, decompose(net).stages) for net in nets)
-        if max(len(stage.arc_ids) for stage in stages) <= 15
-        and any(keyed_shape(stage)[0] for stage in stages)
-    ]
-
-
-@functools.cache
-def keyed_networks():
-    """The first two networks of keyed_pool() with a keyed stage of each
-    (sources, targets)."""
     picked = {}
-    for net in keyed_pool():
-        for stage in decompose(net).stages:
-            keyed, *shape = keyed_shape(stage)
-            if keyed:
+    for _ in range(400):
+        net = random_network(rng, (8, 14), (16, 22))
+        stages = decompose(net).stages
+        if max(len(stage.arc_ids) for stage in stages) > 15:
+            continue
+        for stage in stages:
+            by_dp, *shape = tabulated_shape(stage)
+            if by_dp:
                 nets = picked.setdefault(tuple(shape), [])
                 if len(nets) < 2 and net not in nets:
                     nets.append(net)
     return list(dict.fromkeys(net for nets in picked.values() for net in nets))
+
+
+def assert_same_table(ws, entries, discarded):
+    """A DP table against a per-vector one: the same nonzero matrices, each
+    mass and the discarded mass within a relative 1e-12, and stored plus
+    discarded within 1e-12 of 1."""
+    assert set(ws.entries) == {stm for stm, _ in entries}
+    for stm, mass in entries:
+        assert ws.entries[stm] == pytest.approx(mass, rel=1e-12, abs=0)
+    assert ws.discarded == pytest.approx(discarded, rel=1e-12, abs=0)
+    assert sum(ws.pooled.values()) + ws.discarded == pytest.approx(1.0, abs=1e-12)
 
 
 def test_tabulation_matches_per_vector_reference(example_uniform, example_mixed):
@@ -454,20 +458,25 @@ def test_tabulation_matches_per_vector_reference(example_uniform, example_mixed)
     nets += [build(GeneratorSpec("grid", k, 0.9, seed=k)) for k in (2, 3, 4)]
     rng = random.Random(79)
     nets += [random_network(rng) for _ in range(200)]
-    nets += two_by_two_networks() + keyed_networks()
+    nets += two_by_two_networks() + dp_networks()
     shapes = set()
     for net in nets:
         for stage in decompose(net).stages:
-            shapes.add(keyed_shape(stage))
+            shape = tabulated_shape(stage)
+            shapes.add(shape)
             counters = Counters()
             ws = tabulate_stage(net, stage, counters=counters)
             entries, discarded, want = reference_tabulation(net, stage)
-            assert list(ws.entries.items()) == entries
-            assert ws.discarded == discarded
-            assert counters == want
-    # every boundary shape, both sliced whole and by key
-    for keyed in (False, True):
-        assert {(keyed, 1, 1), (keyed, 1, 2), (keyed, 2, 1), (keyed, 2, 2)} <= shapes
+            if shape[0]:
+                assert_same_table(ws, entries, discarded)
+            else:
+                # sliced whole: bit-identical, in the sweep's order
+                assert list(ws.entries.items()) == entries
+                assert ws.discarded == discarded
+                assert counters == want
+    # every boundary shape, both sliced whole and by the DP
+    for by_dp in (False, True):
+        assert {(by_dp, 1, 1), (by_dp, 1, 2), (by_dp, 2, 1), (by_dp, 2, 2)} <= shapes
 
 
 def stages_of_every_width():
@@ -488,7 +497,7 @@ def test_sliced_stages_match_reference_at_every_width():
     pairs = stages_of_every_width()
     assert {len(stage.arc_ids) for _, stage in pairs} == set(range(1, 14))
     for net, stage in pairs:
-        assert not keyed_shape(stage)[0]
+        assert not tabulated_shape(stage)[0]
         counters = Counters()
         ws = tabulate_stage(net, stage, counters=counters)
         entries, discarded, want = reference_tabulation(net, stage)
@@ -500,11 +509,7 @@ def test_sliced_stages_match_reference_at_every_width():
     assert any(set(stage.source_nodes) & set(stage.target_nodes) for _, stage in pairs)
 
 
-def pooled_hex(ws):
-    return [(bits, mass.hex()) for bits, mass in ws.pooled.items()]
-
-
-def test_sliced_stages_match_keyed_path(monkeypatch):
+def test_sliced_stages_match_partition_dp(monkeypatch):
     pairs = [(net, stage) for net, stage in stages_of_every_width() if len(stage.arc_ids) >= 8]
     pairs += [
         (net, stage)
@@ -514,104 +519,51 @@ def test_sliced_stages_match_keyed_path(monkeypatch):
     ]
     sliced = []
     for net, stage in pairs:
-        counters = Counters()
-        ws = tabulate_stage(net, stage, counters=counters)
-        sliced.append((pooled_hex(ws), ws.discarded.hex(), counters))
-    low_halves = []
-    low_half = stm._low_half
+        ws = tabulate_stage(net, stage)
+        sliced.append((list(ws.entries.items()), ws.discarded))
+    runs = []
+    partitions = stm._partitions
     monkeypatch.setattr(
-        "relengine.stm._low_half", lambda *args: low_halves.append(1) or low_half(*args)
+        "relengine.stm._partitions", lambda *args: runs.append(1) or partitions(*args)
     )
-    monkeypatch.setattr("relengine.stm._KEYED_SHIFT", 4)
-    for (net, stage), want in zip(pairs, sliced):
-        low_halves.clear()
-        counters = Counters()
-        ws = tabulate_stage(net, stage, counters=counters)
-        assert low_halves  # the stage went by key
-        assert (pooled_hex(ws), ws.discarded.hex(), counters) == want
+    monkeypatch.setattr("relengine.stm._SLICED_ARCS", 7)
+    for (net, stage), (entries, discarded) in zip(pairs, sliced):
+        runs.clear()
+        ws = tabulate_stage(net, stage)
+        assert runs  # the stage went to the DP
+        assert_same_table(ws, entries, discarded)
     widths = {len(stage.arc_ids) for _, stage in pairs}
     assert widths == set(range(8, 14))
-    assert any(keyed_shape(stage)[1:] == (2, 2) for _, stage in pairs)
+    assert any(tabulated_shape(stage)[1:] == (2, 2) for _, stage in pairs)
 
 
-def per_leaf_low_half(key, low_u, low_v, shift, sources, targets, low):
-    """stm._low_half leaf by leaf: each low leaf unions its set arcs on a
-    fresh copy of the key (a forest whose roots are the first node of each
-    set) and reads its matrix, row-major with row 0 at the low bits."""
-
-    def root(parent, x):
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    by_matrix = {}
-    zeros = 0
-    for leaf, mass in zip(range(1 << shift), low):
-        parent = list(key)
-        for i, (u, v) in enumerate(zip(low_u, low_v)):
-            if leaf >> i & 1:
-                parent[root(parent, u)] = root(parent, v)
-        out = 0
-        bit = 1
-        target_roots = [root(parent, t) for t in targets]
-        for s in sources:
-            rs = root(parent, s)
-            for rt in target_roots:
-                if rs == rt:
-                    out |= bit
-                bit <<= 1
-        by_matrix.setdefault(out, []).append(mass)
-        zeros += out == 0
-    return by_matrix, zeros
-
-
-def test_low_half_matches_per_leaf_walk(monkeypatch):
-    halves = []
-    low_half = stm._low_half
-
-    def checked(*args):
-        by_matrix, zeros = low_half(*args)
-        want, want_zeros = per_leaf_low_half(*args)
-        assert list(by_matrix.items()) == list(want.items())
-        assert zeros == want_zeros
-        halves.append(args)
-        return by_matrix, zeros
-
-    monkeypatch.setattr("relengine.stm._low_half", checked)
-    rng = random.Random(79)
-    nets = [random_network(rng) for _ in range(200)]
-    nets += two_by_two_networks() + keyed_pool()
-    for net in nets:
-        for stage in decompose(net).stages:
-            tabulate_stage(net, stage)
-    assert len(halves) > 3000
-    # a low arc inside one block of its key, and a source that is a target
-    assert any(
-        key[u] == key[v] for key, low_u, low_v, *_ in halves for u, v in zip(low_u, low_v)
-    )
-    assert any(set(sources) & set(targets) for *_, sources, targets, _ in halves)
+def exact_value(net):
+    """The network's reliability from the dyadic reference, as a Fraction."""
+    r, q, d = exact.reliability(net.node_count, [(a.u, a.v, a.p) for a in net.arcs])
+    return Fraction(r, 1 << d)
 
 
 @pytest.mark.parametrize(
-    "seed, value, summations",
+    "seed, value, multiplications, summations",
     [
-        (1, "0x1.fe6bee2d39f2ap-1", 1007091),
-        (4, "0x1.d11ba94c99dcdp-1", 2019679),
-        (6, "0x1.298883c3b2ca4p-1", 3062092),
+        (1, "0x1.fe6bee2d39e24p-1", 4190, 2094),
+        (4, "0x1.d11ba94c99d2ap-1", 5474, 2736),
+        (6, "0x1.298883c3b2b1ep-1", 35746, 17872),
     ],
 )
-def test_qb2_pins_one_stage_random_networks(seed, value, summations):
-    # one keyed stage of 20-22 arcs; recorded with the per-leaf low walk
+def test_qb2_pins_one_stage_random_networks(seed, value, multiplications, summations):
+    # one DP stage of 20-22 arcs, within 1e-15 of the exact value
     net = random_network(random.Random(seed), (6, 12), (20, 22))
     assert len(decompose(net).stages) == 1
     r, counters = reliability_qb2(net)
     assert r.hex() == value
+    assert abs(Fraction(r) - exact_value(net)) <= 1e-15
     assert counters.as_dict() == {
         "stage_stm_counts": [1],
         "fold_stm_counts": [],
         "total_aggregated": 1,
         "convolution_products": 0,
-        "multiplications": 1 << net.arc_count,
+        "multiplications": multiplications,
         "summations": summations,
     }
 
@@ -721,53 +673,21 @@ def test_qb2_keeps_nothing_between_solves():
         assert (r.hex(), counters) == (want.hex(), want_counters)
 
 
-@pytest.mark.parametrize("bound", [0, 256])
-def test_tabulation_with_bounded_memo_matches_reference(
-    monkeypatch, example_uniform, example_mixed, bound
-):
-    # 0: every high leaf works out its low half again; 256: the first keys
-    # are stored and later ones worked out again, side by side in one stage
-    monkeypatch.setattr("relengine.stm._MEMO_LEAVES", bound)
-    test_tabulation_matches_per_vector_reference(example_uniform, example_mixed)
-
-
-def test_memo_bound_limits_stored_low_halves(monkeypatch):
-    net = build(GeneratorSpec("grid", 4, 0.9, seed=4))
-    stage = max(decompose(net).stages, key=lambda stage: len(stage.arc_ids))
-    assert len(stage.arc_ids) == 15  # shift 7: 256 high leaves of 128
-    walks = []
-    low_half = stm._low_half
-    monkeypatch.setattr(
-        "relengine.stm._low_half", lambda *args: walks.append(1) or low_half(*args)
-    )
-
-    def low_walks(bound):
-        monkeypatch.setattr("relengine.stm._MEMO_LEAVES", bound)
-        walks.clear()
-        ws = tabulate_stage(net, stage)
-        return len(walks), list(ws.entries.items()), ws.discarded
-
-    unbounded, entries, discarded = low_walks(1 << 20)
-    assert unbounded < 256
-    assert low_walks(0) == (256, entries, discarded)
-    one_key = low_walks(128)
-    assert unbounded < one_key[0] < 256
-    assert one_key[1:] == (entries, discarded)
-
-
 def test_qb2_pins_wide_stage_of_grid_5():
-    # a 20-arc stage split at shift 10, beyond the per-vector reference
+    # a 20-arc DP stage, beyond the per-vector reference; at p = 0.5 every
+    # mass is dyadic, and the answer is the exact value
     net = build(GeneratorSpec("grid", 5, 0.5))
     assert [len(stage.arc_ids) for stage in decompose(net).stages] == [2, 20]
     r, counters = reliability_qb2(net)
     assert r.hex() == "0x1.5954e00000000p-3"
+    assert abs(Fraction(r) - exact_value(net)) <= 1e-15
     assert counters.as_dict() == {
         "stage_stm_counts": [3, 3],
         "fold_stm_counts": [1],
         "total_aggregated": 7,
         "convolution_products": 9,
-        "multiplications": 1048587,
-        "summations": 292820,
+        "multiplications": 913,
+        "summations": 454,
     }
 
 
@@ -788,13 +708,11 @@ def test_tabulation_checks_budget_inside_walk():
     net = random_network(random.Random(1), (6, 9), (16, 16))
     (stage,) = decompose(net).stages
     assert len(stage.arc_ids) == 16
-    # the stage's check before leaf 0, then one per 4096 leaves of the
-    # walk; building the tables checks nothing
-    walk = (1 << 16) // 4096
+    # the DP checks once per arc, before its states: no arc here has 4096
     budget = CountingBudget()
     tabulate_stage(net, stage, budget)
-    assert budget.calls == walk
-    for raise_on in (1, walk):
+    assert budget.calls == 16
+    for raise_on in (1, 16):
         budget = CountingBudget(raise_on)
         with pytest.raises(BudgetExceeded):
             tabulate_stage(net, stage, budget)
@@ -816,95 +734,55 @@ def test_tabulation_checks_budget_before_walking_a_wide_stage(monkeypatch):
     stage = decompose(net).stages[1]
     assert len(stage.arc_ids) == 30
 
-    def no_keys(*args, **kwargs):
-        raise AssertionError("a key was built")
+    def no_tables(*args, **kwargs):
+        raise AssertionError("a probability table was built")
 
-    with monkeypatch.context() as patched:
-        patched.setattr("relengine.stm._keys", no_keys)
-        budget = CountingBudget(1)
+    # the DP builds no probability tables and checks once per arc, the
+    # first before any state
+    monkeypatch.setattr("relengine.stm.half_probability_tables", no_tables)
+    budget = CountingBudget()
+    tabulate_stage(net, stage, budget)
+    assert budget.calls == 30
+    for raise_on in (1, 2, 30):
+        budget = CountingBudget(raise_on)
         with pytest.raises(BudgetExceeded):
             tabulate_stage(net, stage, budget)
-        assert budget.calls == 1
-        # building the tables checks nothing: one check, then the keys
-        budget = CountingBudget()
-        with pytest.raises(AssertionError, match="key was built"):
-            tabulate_stage(net, stage, budget)
-        assert budget.calls == 1
-    # with shift 15, the next check comes at high leaf 1
-    budget = CountingBudget(2)
-    with pytest.raises(BudgetExceeded):
-        tabulate_stage(net, stage, budget)
-    assert budget.calls == 2
+        assert budget.calls == raise_on
 
 
-class KeysBuilt(Exception):
-    """Stops a tabulation once its high-leaf keys are built."""
-
-
-def test_keys_at_the_cap_match_a_per_leaf_union_find(monkeypatch):
-    # 2^15 high leaves of a 30-arc stage, each key held to a union-find of
-    # its own set arcs; the doubled keys trace about 6 MiB at the peak
+def test_partition_dp_at_the_cap_stays_small():
+    # the 30-arc stage keeps at most a few hundred small states at once:
+    # about 18 KiB traced at the peak
     net = build(GeneratorSpec("grid", 7, 0.9))
     stage = decompose(net).stages[1]
     assert len(stage.arc_ids) == 30
-    built = []
-    keys = stm._keys
-
-    def traced_keys(*args):
-        tracemalloc.start()
-        try:
-            built.append(keys(*args))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 16 * 2**20
-        raise KeysBuilt
-
-    monkeypatch.setattr("relengine.stm._keys", traced_keys)
-    with pytest.raises(KeysBuilt):
-        tabulate_stage(net, stage)
-    (got,) = built
-    assert len(got) == 1 << 15
-
-    local = stage.node_ids.index
-    arcs = [(local(net.arcs[a - 1].u), local(net.arcs[a - 1].v)) for a in stage.arc_ids]
-    low, high = arcs[:15], arcs[15:]
-    interface = sorted(
-        {*(x for arc in low for x in arc), *map(local, stage.source_nodes),
-         *map(local, stage.target_nodes)}
-    )
-
-    def root(parent, x):
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    for hb, key in enumerate(got):
-        parent = list(range(len(stage.node_ids)))
-        for i, (u, v) in enumerate(high):
-            if hb >> i & 1:
-                parent[root(parent, u)] = root(parent, v)
-        roots = [root(parent, x) for x in interface]
-        assert key == tuple(roots.index(r) for r in roots), hb
+    tracemalloc.start()
+    try:
+        ws = tabulate_stage(net, stage)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 256 * 2**10
+    assert len(ws) == 3
 
 
-def test_tabulation_checks_budget_within_a_high_leaf(monkeypatch):
-    # a stride below 2^shift puts a check at every high leaf, as
-    # budget.STRIDE does for stages of 26 arcs and more: 16 arcs split
-    # at shift 8 give 2^8 high leaves
-    monkeypatch.setattr("relengine.stm.STRIDE", 16)
+def test_tabulation_checks_budget_every_stride_states(monkeypatch):
+    # a stride below an arc's state count adds a check every STRIDE
+    # states; at stride 1 that is one per state the DP visits
     net = random_network(random.Random(1), (6, 9), (16, 16))
     (stage,) = decompose(net).stages
-    budget = CountingBudget()
-    tabulate_stage(net, stage, budget)
-    assert budget.calls == 1 << 8
+    for stride, calls in ((16, 48), (1, 635)):
+        monkeypatch.setattr("relengine.stm.STRIDE", stride)
+        budget = CountingBudget()
+        tabulate_stage(net, stage, budget)
+        assert budget.calls == calls
 
 
 @pytest.mark.parametrize("family, k, checks", [("series", 12, 12), ("ladder", 4, 6)])
 def test_qb2_checks_budget_on_memo_hits(family, k, checks):
     net = build(GeneratorSpec(family, k, 0.9))
-    # one per stage, though most stages reuse a walked shape; no stage
-    # here is keyed, and folds check nothing
+    # one per stage, though most stages reuse a walked shape; every stage
+    # here is sliced, and folds check nothing
     assert checks == len(decompose(net).stages)
     budget = CountingBudget()
     reliability_qb2(net, budget)
@@ -926,7 +804,7 @@ def test_qb2_checks_budget_on_memo_hits(family, k, checks):
     ],
 )
 def test_backends_check_budget_once_per_stride(backend, family, k, p, checks):
-    # qb2 once per stage (none of these is keyed), the oracle once per
+    # qb2 once per stage (each is sliced), the oracle once per
     # 4096 vectors of its 2^20 and qbat once per 4096 search frames
     solve = {
         "qb2": reliability_qb2,
