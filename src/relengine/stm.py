@@ -31,6 +31,7 @@ from itertools import compress
 from operator import add
 
 from .bat import (
+    _BYTE,
     DEFAULT_ENUMERATION_CAP,
     EnumerationCapExceeded,
     half_probability_tables,
@@ -242,15 +243,22 @@ def _partitions(n, arc_u, arc_v, probs, sources, targets, budget):
     The update of Rosenthal (1977) and of Carlier and Lucet (1996), over
     nodes 0..n-1 and the arcs in order. The frontier holds the sources and
     targets throughout, and any other node from its first arc to its
-    last. A state is the frontier's blocks, labelled by first occurrence;
-    arc k of probability p sends one of mass m to itself, failed, with
-    m * (1 - p), and merged across the arc with m * p (kept whole when
-    its ends share a block). Then the nodes whose last arc is k leave and
-    equal states pool. A final state's matrix has entry (i, j) set when
-    source i and target j share a block. The budget is checked every
-    STRIDE states of each arc, the first time before any. Returns the
-    nonzero matrices' masses by bits, the all-zero one's mass, the mass
-    products made and the additions into an existing pooled entry.
+    last. A state is a bytes string, one entry per frontier position: the
+    position of the first node of its block, which is canonical as it
+    stands. The frontier is never wider than the n nodes, and a stage
+    within the 30-arc cap has at most 31, so each label fits in a byte.
+    Arc k of probability p appends each joining node's own position and
+    sends a state of mass m to itself, failed, with m * (1 - p), and
+    merged across the arc (one ``bytes.replace`` of the higher label by
+    the lower) with m * p, kept whole when its ends share a block. Then
+    the nodes whose last arc is k leave: a leaving block label hands its
+    label to the block's next member, the labels shift down past the
+    leavers, and their entries are dropped. Equal states pool. A final
+    state's matrix has entry (i, j) set when source i and target j share
+    a block. The budget is checked every STRIDE states of each arc, the
+    first time before any. Returns the nonzero matrices' masses by bits,
+    the all-zero one's mass, the mass products made and the additions
+    into an existing pooled entry.
     """
     last = [-1] * n
     for k, (u, v) in enumerate(zip(arc_u, arc_v)):
@@ -258,34 +266,47 @@ def _partitions(n, arc_u, arc_v, probs, sources, targets, budget):
     frontier = list(dict.fromkeys((*sources, *targets)))
     for x in frontier:
         last[x] = len(arc_u)  # the boundary stays to the end
-    states = {tuple(range(len(frontier))): 1.0}
+    states = {bytes(range(len(frontier))): 1.0}
     products = additions = 0
     for k, (u, v, p) in enumerate(zip(arc_u, arc_v, probs)):
-        # labels are below the frontier's width, so a joining node's is new
         fresh = [x for x in (u, v) if x not in frontier]
-        joining = tuple(range(len(frontier), len(frontier) + len(fresh)))
+        tail = bytes(range(len(frontier), len(frontier) + len(fresh)))
         frontier += fresh
         iu, iv = frontier.index(u), frontier.index(v)
+        gone = [i for i, x in enumerate(frontier) if last[x] == k]
         keep = [i for i, x in enumerate(frontier) if last[x] > k]
         frontier = [frontier[i] for i in keep]
+        shift = bytearray(256)  # old position to new, for the kept ones
+        for new, old in enumerate(keep):
+            shift[old] = new
         q = 1.0 - p
-        pooled: dict[tuple[int, ...], float] = {}
+        pooled: dict[bytes, float] = {}
         get = pooled.get
         splits = 0
         for j, (labels, mass) in enumerate(states.items()):
             if budget is not None and j % STRIDE == 0:
                 budget.check()
-            labels += joining
+            labels += tail
             a, b = labels[iu], labels[iv]
             if a == b:
                 branches = ((labels, mass),)
             else:
                 splits += 1
-                joined = tuple([a if x == b else x for x in labels])
-                branches = ((labels, mass * q), (joined, mass * p))
-            for branch, m in branches:
-                names: dict[int, int] = {}
-                key = tuple([names.setdefault(branch[i], len(names)) for i in keep])
+                if a > b:
+                    a, b = b, a
+                branches = ((labels, mass * q), (labels.replace(_BYTE[b], _BYTE[a]), mass * p))
+            for key, m in branches:
+                if gone:
+                    for r in gone:
+                        if key[r] == r:  # a leaving label goes to the next member
+                            nxt = key.find(_BYTE[r], r + 1)
+                            if nxt > 0:
+                                key = key.replace(_BYTE[r], _BYTE[nxt])
+                    key = key.translate(shift)
+                    if len(gone) == 1:
+                        key = key[:r] + key[r + 1 :]
+                    else:
+                        key = bytes([key[i] for i in keep])
                 pooled[key] = get(key, 0.0) + m
         products += 2 * splits
         additions += len(states) + splits - len(pooled)
