@@ -6,12 +6,13 @@ their probability. A stage of up to 13 arcs is sliced whole, one bit per
 vector in Python ints (``_slice``), and its masses are added per vector
 in integer order, so its tables are bit-identical to a per-vector sweep
 (``stm_from_vector`` over ``range(2^g)``). A wider stage goes to a
-frontier partition DP over its arcs (``_partitions``), whose cost follows
-the frontier's partitions, not 2^g, and whose tables agree with the
-sweep to rounding. Folding consecutive stages is a boolean max-min
-matrix product. Stage one has a single source node, so the accumulator
-is always one row, as wide as the next stage has rows: a product is the
-OR of the stage rows that the accumulator's bits select.
+frontier partition DP on byte-string states (``_partitions``), its arcs
+in greedy frontier order (``_frontier_order``), not stage order; its
+cost follows the frontier's partitions, not 2^g, and its tables agree
+with the sweep to rounding. Folding consecutive stages is a boolean
+max-min matrix product. Stage one has a single source node, so the
+accumulator is always one row, as wide as the next stage has rows: a
+product is the OR of the stage rows that the accumulator's bits select.
 ``reliability_qb2`` works on these plain ints and builds no matrix
 objects; ``tabulate_stage`` and ``convolve_sets`` wrap the same cores
 and return ``WeightedStmSet`` views of their results.
@@ -237,29 +238,54 @@ def _slice(n, arc_u, arc_v, sources, targets) -> tuple[dict[int, bytes], int]:
     return selectors, groups.get(0, 0).bit_count()
 
 
+def _frontier_order(n, arc_u, arc_v, boundary):
+    """The arcs' indices in greedy frontier order, for ``_partitions``.
+
+    Arc order sets a frontier DP's width (Kawahara et al., 2017). Each
+    next arc adds the fewest nodes to the frontier net of the non-boundary
+    nodes it retires (those it is the last arc left of); ties go to more
+    ends already on the frontier, then to the lower index.
+    """
+    # arcs left at each node; 0 on the boundary, which never leaves
+    left = [0 if x in boundary else arc_u.count(x) + arc_v.count(x) for x in range(n)]
+    # one end's share of 4 * (nodes added - nodes retired) + nodes added
+    costs = [5 - 4 * (c == 1) if c else 0 for c in left]
+    rest = list(range(len(arc_u)))
+    order = []
+    while rest:
+        k = min(rest, key=lambda k: costs[arc_u[k]] + costs[arc_v[k]])
+        rest.remove(k)
+        order.append(k)
+        for x in (arc_u[k], arc_v[k]):
+            left[x] -= 1
+            costs[x] = -4 * (left[x] == 1)
+    return order
+
+
 def _partitions(n, arc_u, arc_v, probs, sources, targets, budget):
     """Pool the matrix of every vector of the arcs by a frontier partition DP.
 
     The update of Rosenthal (1977) and of Carlier and Lucet (1996), over
-    nodes 0..n-1 and the arcs in order. The frontier holds the sources and
-    targets throughout, and any other node from its first arc to its
-    last. A state is a bytes string, one entry per frontier position: the
-    position of the first node of its block, which is canonical as it
-    stands. The frontier is never wider than the n nodes, and a stage
-    within the 30-arc cap has at most 31, so each label fits in a byte.
-    Arc k of probability p appends each joining node's own position and
-    sends a state of mass m to itself, failed, with m * (1 - p), and
-    merged across the arc (one ``bytes.replace`` of the higher label by
-    the lower) with m * p, kept whole when its ends share a block. Then
-    the nodes whose last arc is k leave: a leaving block label hands its
-    label to the block's next member, the labels shift down past the
-    leavers, and their entries are dropped. Equal states pool. A final
+    nodes 0..n-1 and the arcs in greedy frontier order
+    (``_frontier_order``), which also fixes the summation order. The
+    frontier holds the sources and targets throughout, and any other node
+    from its first arc to its last. A state is a bytes string: entry i is
+    the frontier position of the first node in i's block, a canonical
+    labelling; the frontier is never wider than the stage's n nodes, far
+    below 256 under the 30-arc cap. Arc k of probability p appends each
+    joining node's own position, and sends a state of mass m to itself,
+    failed, with m * (1 - p), and merged (one ``bytes.replace``) with
+    m * p, kept whole when its ends share a block. Then the nodes whose
+    last arc is k leave: a leaving label passes to its block's next
+    member, and the entry is dropped. Equal states pool. A final
     state's matrix has entry (i, j) set when source i and target j share
     a block. The budget is checked every STRIDE states of each arc, the
     first time before any. Returns the nonzero matrices' masses by bits,
     the all-zero one's mass, the mass products made and the additions
     into an existing pooled entry.
     """
+    order = _frontier_order(n, arc_u, arc_v, {*sources, *targets})
+    arc_u, arc_v, probs = ([xs[k] for k in order] for xs in (arc_u, arc_v, probs))
     last = [-1] * n
     for k, (u, v) in enumerate(zip(arc_u, arc_v)):
         last[u] = last[v] = k
@@ -276,9 +302,7 @@ def _partitions(n, arc_u, arc_v, probs, sources, targets, budget):
         gone = [i for i, x in enumerate(frontier) if last[x] == k]
         keep = [i for i, x in enumerate(frontier) if last[x] > k]
         frontier = [frontier[i] for i in keep]
-        shift = bytearray(256)  # old position to new, for the kept ones
-        for new, old in enumerate(keep):
-            shift[old] = new
+        shift = bytes.maketrans(bytes(keep), bytes(range(len(keep))))
         q = 1.0 - p
         pooled: dict[bytes, float] = {}
         get = pooled.get
@@ -297,16 +321,11 @@ def _partitions(n, arc_u, arc_v, probs, sources, targets, budget):
                 branches = ((labels, mass * q), (labels.replace(_BYTE[b], _BYTE[a]), mass * p))
             for key, m in branches:
                 if gone:
-                    for r in gone:
-                        if key[r] == r:  # a leaving label goes to the next member
-                            nxt = key.find(_BYTE[r], r + 1)
-                            if nxt > 0:
-                                key = key.replace(_BYTE[r], _BYTE[nxt])
+                    for r in gone:  # a leaving label passes to its block's next member
+                        if key[r] == r and (nxt := key.find(_BYTE[r], r + 1)) > 0:
+                            key = key.replace(_BYTE[r], _BYTE[nxt])
                     key = key.translate(shift)
-                    if len(gone) == 1:
-                        key = key[:r] + key[r + 1 :]
-                    else:
-                        key = bytes([key[i] for i in keep])
+                    key = bytes([key[i] for i in keep]) if gone[1:] else key[:r] + key[r + 1 :]
                 pooled[key] = get(key, 0.0) + m
         products += 2 * splits
         additions += len(states) + splits - len(pooled)
@@ -345,21 +364,20 @@ def _tabulate(
 ) -> tuple[dict[int, float], float | None]:
     """Pool the connectivity matrix of every stage vector, by matrix bits.
 
-    Nodes are numbered by their position in the stage's node list, and
-    the all-zero matrix's mass is returned as discarded. A stage of more
-    than _SLICED_ARCS arcs goes to the partition DP (``_partitions``),
-    which builds no probability tables and checks the budget itself. A
-    smaller one is sliced whole (``_slice``), vector ``bits`` weighing
-    ``low[bits & (2^shift - 1)] * high[bits >> shift]``
+    Nodes are numbered by their position in the stage's node list, and the
+    all-zero matrix's mass is returned as discarded. A stage of more than
+    _SLICED_ARCS arcs goes to the byte-state partition DP in greedy arc
+    order (``_partitions``), which builds no probability tables and checks
+    the budget itself. A smaller one is sliced whole (``_slice``), vector
+    ``bits`` weighing ``low[bits & (2^shift - 1)] * high[bits >> shift]``
     (``half_probability_tables``): its entries, their order, ``discarded``
     (summed only with ``discard``, else None) and the counters are
-    bit-identical to a per-vector sweep over ``range(2^g)``. A slice
-    depends only on the stage's local shape (node count, arc endpoints in
-    stage order, sources and targets), so a caller that passes one
-    ``shapes`` dict for many stages slices each shape once, while it holds
-    fewer than _SHAPES, and each stage adds up only its own masses. The
-    budget is checked before the slice, whether or not the shape was met
-    before.
+    bit-identical to a per-vector sweep over ``range(2^g)``. A slice depends
+    only on the stage's local shape (node count, arc endpoints in stage
+    order, sources and targets), so a caller that passes one ``shapes`` dict
+    for many stages slices each shape once, while it holds fewer than
+    _SHAPES, and each stage adds up only its own masses. The budget is
+    checked before the slice, whether or not the shape was met before.
     """
     g = len(stage.arc_ids)
     arcs = [network.arcs[arc_id - 1] for arc_id in stage.arc_ids]
@@ -476,8 +494,8 @@ def reliability_qb2(
     built. The slices of stage shapes are kept in a dict local to this
     call, so like stages share them and only redo their probability sums.
     Summation order is fixed (stage order, then enumeration order in a
-    sliced stage or arc and state order in a DP one, insertion order in
-    folds), so repeated solves are bit-identical.
+    sliced stage or greedy arc order and state order in a DP one,
+    insertion order in folds), so repeated solves are bit-identical.
     A stage wider than DEFAULT_ENUMERATION_CAP arcs raises
     EnumerationCapExceeded before any table is built.
     """
