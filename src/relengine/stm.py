@@ -324,7 +324,7 @@ def _partitions(n, arc_u, arc_v, probs, sources, targets, budget):
                     for r in gone:  # a leaving label passes to its block's next member
                         if key[r] == r and (nxt := key.find(_BYTE[r], r + 1)) > 0:
                             key = key.replace(_BYTE[r], _BYTE[nxt])
-                    key = key.translate(shift)
+                    key = key.translate(shift)  # kept labels to their new positions
                     key = bytes([key[i] for i in keep]) if gone[1:] else key[:r] + key[r + 1 :]
                 pooled[key] = get(key, 0.0) + m
         products += 2 * splits
