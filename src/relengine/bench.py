@@ -31,9 +31,9 @@ def run_backend(
 ) -> RunResult:
     """Run one backend under an optional wall-clock budget.
 
-    A blown budget is reported as status ``timeout`` and a refused
-    enumeration (more arcs than ``bat.DEFAULT_ENUMERATION_CAP`` in the
-    oracle's network or in one qb2 stage) as ``skipped``; neither raises.
+    A blown budget is reported as status ``timeout`` and a cap refusal
+    (more arcs than ``bat.DEFAULT_ENUMERATION_CAP`` in the oracle's
+    network or in one qb2 stage) as ``skipped``; neither raises.
     On status ``ok``, ``counters`` is the object the backend filled while
     it ran: qb2's ``stm.Counters``, qbat's ``quickbat.QuickBatStats``, or
     None for the oracle, which keeps none. Both have ``as_dict()``.

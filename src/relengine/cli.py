@@ -5,9 +5,9 @@ success, 1 for parse or validation failures, 2 for bad usage (argparse,
 including a ``--budget`` that is not a positive number of seconds, a
 ``--tolerance`` that is not a number of at least 0,
 ``--explain-decomposition`` with a flag that needs a solve, or a
-crosscheck file with a generator flag), 3 when a backend refuses to
-enumerate more than the fixed cap of 30 arcs (the oracle's whole
-network, or one qb2 stage), 4 when a crosscheck exceeds its tolerance, 5
+crosscheck file with a generator flag), 3 when a backend refuses a
+network beyond the fixed cap of 30 arcs (the oracle's whole network, or
+one qb2 stage), 4 when a crosscheck exceeds its tolerance, 5
 when ``compute --budget SECONDS`` runs out of time before the answer is
 known.
 """

@@ -5,7 +5,8 @@ stage source nodes reach which stage target nodes; equal matrices pool
 their probability. A stage of up to 13 arcs is sliced whole, one bit per
 vector in Python ints (``_slice``), and its masses are added per vector
 in integer order, so its tables are bit-identical to a per-vector sweep
-(``stm_from_vector`` over ``range(2^g)``). A wider stage goes to a
+over ``range(2^g)`` (the tests' ``stm_from_vector``, in
+``tests/vectors.py``, is that definition). A wider stage goes to a
 frontier partition DP on byte-string states (``_partitions``), its arcs
 in greedy frontier order (``_frontier_order``), not stage order; its
 cost follows the frontier's partitions, not 2^g, and its tables agree
@@ -40,7 +41,6 @@ from .bat import (
 from .budget import STRIDE, Budget
 from .decompose import Stage, decompose
 from .network import Network
-from .unionfind import find, union
 
 # Stages of up to this many arcs are sliced whole (2^13 leaves a slice);
 # a wider one goes to the partition DP, whose states are far fewer.
@@ -139,33 +139,6 @@ class Counters:
             "multiplications": self.multiplications,
             "summations": self.summations,
         }
-
-
-def stm_from_vector(network: Network, stage: Stage, bits: int) -> SourceTargetMatrix:
-    """Connectivity matrix of one stage vector.
-
-    Coordinate h of the stage vector is arc stage.arc_ids[h]. Entry
-    (alpha, beta) is 1 when source node alpha and target node beta sit in
-    the same component of the stage subgraph under that vector; a node
-    serving as both source and target is connected to itself with no arcs
-    at all.
-    """
-    local = {node: idx for idx, node in enumerate(stage.node_ids)}
-    parent = list(range(len(stage.node_ids)))
-    for h, arc_id in enumerate(stage.arc_ids):
-        if (bits >> h) & 1:
-            a = network.arcs[arc_id - 1]
-            union(parent, local[a.u], local[a.v])
-    source_roots = [find(parent, local[s]) for s in stage.source_nodes]
-    target_roots = [find(parent, local[t]) for t in stage.target_nodes]
-    out = 0
-    pos = 0
-    for rs in source_roots:
-        for rt in target_roots:
-            if rs == rt:
-                out |= 1 << pos
-            pos += 1
-    return SourceTargetMatrix(len(source_roots), len(target_roots), out)
 
 
 @cache
@@ -372,7 +345,8 @@ def _tabulate(
     ``bits`` weighing ``low[bits & (2^shift - 1)] * high[bits >> shift]``
     (``half_probability_tables``): its entries, their order, ``discarded``
     (summed only with ``discard``, else None) and the counters are
-    bit-identical to a per-vector sweep over ``range(2^g)``. A slice depends
+    bit-identical to a per-vector sweep over ``range(2^g)`` (the tests'
+    ``stm_from_vector`` in ``tests/vectors.py``). A slice depends
     only on the stage's local shape (node count, arc endpoints in stage
     order, sources and targets), so a caller that passes one ``shapes`` dict
     for many stages slices each shape once, while it holds fewer than
@@ -502,14 +476,14 @@ def reliability_qb2(
     counters = Counters()
     if network.node_count == 1:
         return 1.0, counters
-    stages = decompose(network).stages or ()
+    stages = decompose(network).stages
     widest = max(stages, key=lambda stage: len(stage.arc_ids))
     width = len(widest.arc_ids)
     if width > DEFAULT_ENUMERATION_CAP:
         raise EnumerationCapExceeded(
             width,
             f"qb2 stage {widest.index} has {width} arcs, above the cap of "
-            f"{DEFAULT_ENUMERATION_CAP}; its 2^{width} vectors are not enumerated",
+            f"{DEFAULT_ENUMERATION_CAP}; refused by qb2's fixed stage cap",
         )
     shapes: dict = {}
     acc = None

@@ -2,8 +2,8 @@
 
 The caller owns the list (``parent = list(range(size))``), so a fresh
 forest costs one list copy and the hot loops pay no attribute lookups.
-``find`` and ``union`` compress paths, and serve the landmarks, the
-per-vector matrices and network validation. The depth-first walk of
+``find`` and ``union`` compress paths, and serve the landmarks and
+network validation. The depth-first walk of
 ``quickbat.reliability_quick_bat`` cannot compress: it keeps union by
 size and a trail of real merges, so backtracking rolls the forest back,
 and it does so inline in its loop, because a function call per root walk

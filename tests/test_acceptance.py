@@ -23,12 +23,11 @@ from relengine.quickbat import (
     last_disconnected,
     reliability_quick_bat,
 )
-from vectors import bits_from_states, is_connected
+from vectors import bits_from_states, is_connected, stm_from_vector
 from relengine.stm import (
     SourceTargetMatrix,
     convolve_sets,
     reliability_qb2,
-    stm_from_vector,
     tabulate_stage,
 )
 

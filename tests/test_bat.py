@@ -19,7 +19,7 @@ from relengine.budget import Budget, BudgetExceeded
 from relengine.generators import FAMILIES, GeneratorSpec, build, random_network
 from relengine.network import make_network
 
-from vectors import bits_from_states, is_connected
+from vectors import bits_from_states, half_tables, is_connected
 
 
 def test_bits_round_trip():
@@ -136,7 +136,7 @@ def test_deterministic_arc_probability_pins_reliability():
 
 def per_vector_oracle(net):
     """The oracle as one sweep over range(2^m), one connectivity test a vector."""
-    low, high, shift = half_probability_tables(net.probabilities())
+    low, high, shift = half_tables(net.probabilities())
     mask = (1 << shift) - 1
     total = 0.0
     for bits in range(1 << net.arc_count):

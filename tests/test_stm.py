@@ -1,8 +1,10 @@
+import ast
 import functools
 import math
 import random
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 from relengine.bat import (
     DEFAULT_ENUMERATION_CAP,
     EnumerationCapExceeded,
-    half_probability_tables,
     reliability_oracle,
 )
 from relengine.budget import BudgetExceeded
@@ -25,12 +26,12 @@ from relengine.stm import (
     WeightedStmSet,
     convolve_sets,
     reliability_qb2,
-    stm_from_vector,
     tabulate_stage,
 )
 import exact
+import vectors
 from conftest import build_example
-from vectors import bits_from_states
+from vectors import bits_from_states, half_tables, stm_from_vector
 
 
 def M(rows):
@@ -110,6 +111,22 @@ def test_stm_self_connection_without_arcs(example_uniform):
     stage = stage_by_index(example_uniform, 2)
     stm = stm_from_vector(example_uniform, stage, 0)
     assert stm.entry(1, 0) == 1
+
+
+def test_vectors_import_only_the_matrix_container():
+    # the per-vector references are what qb2's tables and the oracle are
+    # held to: of relengine they may take only the SourceTargetMatrix
+    # container, never the connectivity or probability code they check
+    tree = ast.parse(Path(vectors.__file__).read_text())
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            used.update(f"{node.module}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Import):
+            used.update(alias.name for alias in node.names)
+    assert {name for name in used if name.startswith("relengine")} == {
+        "relengine.stm.SourceTargetMatrix"
+    }
 
 
 def test_tabulate_first_stage(example_uniform):
@@ -380,7 +397,7 @@ def reference_tabulation(net, stage):
     stages; callers must not change what it returns.
     """
     probs = [net.arcs[arc_id - 1].p for arc_id in stage.arc_ids]
-    low, high, shift = half_probability_tables(probs)
+    low, high, shift = half_tables(probs)
     entries = {}
     discarded = 0.0
     counters = Counters()
