@@ -46,7 +46,8 @@ class EnumerationCapExceeded(RuntimeError):
         super().__init__(
             message
             or f"full enumeration over {arc_count} arcs exceeds the cap of "
-            f"{DEFAULT_ENUMERATION_CAP}; use the qb2 backend for networks this large"
+            f"{DEFAULT_ENUMERATION_CAP}; qb2 answers when its widest stage has at most "
+            f"{DEFAULT_ENUMERATION_CAP} arcs, and qbat has no cap and is bounded by --budget"
         )
         self.arc_count = arc_count
 

@@ -1,15 +1,13 @@
 """Command line surface.
 
-Subcommands: compute, crosscheck, bench, generate. Exit codes: 0 on
-success, 1 for parse or validation failures, 2 for bad usage (argparse,
-including a ``--budget`` that is not a positive number of seconds, a
-``--tolerance`` that is not a number of at least 0,
-``--explain-decomposition`` with a flag that needs a solve, or a
-crosscheck file with a generator flag), 3 when a backend refuses a
-network beyond the fixed cap of 30 arcs (the oracle's whole network, or
-one qb2 stage), 4 when a crosscheck exceeds its tolerance, 5
-when ``compute --budget SECONDS`` runs out of time before the answer is
-known.
+Subcommands: compute, explain, crosscheck, bench, generate. Exit codes:
+0 on success, 1 for parse or validation failures, 2 for bad usage
+(argparse, including a ``--budget`` that is not a positive number of
+seconds or a ``--tolerance`` that is not a number of at least 0), 3 when
+a backend refuses a network beyond the fixed cap of 30 arcs (the
+oracle's whole network, or one qb2 stage), 4 when a crosscheck exceeds
+its tolerance, 5 when ``compute --budget SECONDS`` runs out of time
+before the answer is known.
 """
 
 from __future__ import annotations
@@ -63,15 +61,6 @@ def _load_network(path: str):
         return None
 
 
-def _build_network(args):
-    try:
-        spec = generators.GeneratorSpec(args.family, args.k, args.p, args.seed)
-        return generators.build(spec)
-    except (ValueError, NetworkError) as exc:
-        print(f"relengine: {exc}", file=sys.stderr)
-        return None
-
-
 def _positive_seconds(text: str) -> float:
     value = float(text)
     if not value > 0:
@@ -90,9 +79,6 @@ def _cmd_compute(args) -> int:
     network = _load_network(args.file)
     if network is None:
         return EXIT_INVALID_INPUT
-    if args.explain_decomposition:
-        print(explain_decomposition(network))
-        return EXIT_OK
     result = bench.run_backend(network, args.backend, budget_s=args.budget)
     if result.status != "ok":
         print(f"relengine: {result.detail}", file=sys.stderr)
@@ -123,11 +109,16 @@ def _cmd_compute(args) -> int:
     return EXIT_OK
 
 
+def _cmd_explain(args) -> int:
+    network = _load_network(args.file)
+    if network is None:
+        return EXIT_INVALID_INPUT
+    print(explain_decomposition(network))
+    return EXIT_OK
+
+
 def _cmd_crosscheck(args) -> int:
-    if args.file is not None:
-        network = _load_network(args.file)
-    else:
-        network = _build_network(args)
+    network = _load_network(args.file)
     if network is None:
         return EXIT_INVALID_INPUT
     try:
@@ -191,21 +182,17 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    network = _build_network(args)
-    if network is None:
+    try:
+        spec = generators.GeneratorSpec(args.family, args.k, args.p, args.seed)
+        network = generators.build(spec)
+    except (ValueError, NetworkError) as exc:
+        print(f"relengine: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
     # with a seed every arc's probability is drawn, so p names none of them
     draw = f"p={args.p!r}" if args.seed is None else f"seed={args.seed}"
     comment = f"family={args.family} k={args.k} {draw}"
     sys.stdout.write(format_network(network, comment=comment))
     return EXIT_OK
-
-
-def _add_generator_arguments(parser, required: bool) -> None:
-    parser.add_argument("--family", choices=generators.FAMILIES, required=required)
-    parser.add_argument("--k", type=int, required=required)
-    parser.add_argument("--p", type=float, required=required)
-    parser.add_argument("--seed", type=int, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -221,18 +208,20 @@ def build_parser() -> argparse.ArgumentParser:
     compute.add_argument("--counters", action="store_true")
     compute.add_argument("--time", dest="show_time", action="store_true")
     compute.add_argument("--json", action="store_true")
-    compute.add_argument("--explain-decomposition", action="store_true")
     compute.add_argument(
         "--budget", type=_positive_seconds, default=None, metavar="SECONDS",
         help="wall-clock allowance; exit 5 if it runs out",
     )
     compute.set_defaults(handler=_cmd_compute)
 
+    explain = sub.add_parser("explain", help="print a network's qb2 decomposition")
+    explain.add_argument("file")
+    explain.set_defaults(handler=_cmd_explain)
+
     cross = sub.add_parser(
         "crosscheck", help="run every backend and compare the answers"
     )
-    cross.add_argument("file", nargs="?", default=None)
-    _add_generator_arguments(cross, required=False)
+    cross.add_argument("file")
     cross.add_argument("--tolerance", type=_tolerance, default=bench.DEFAULT_TOLERANCE)
     cross.set_defaults(handler=_cmd_crosscheck)
 
@@ -256,34 +245,17 @@ def build_parser() -> argparse.ArgumentParser:
     bench_parser.set_defaults(handler=_cmd_bench)
 
     generate = sub.add_parser("generate", help="write a family instance to stdout")
-    _add_generator_arguments(generate, required=True)
+    generate.add_argument("--family", choices=generators.FAMILIES, required=True)
+    generate.add_argument("--k", type=int, required=True)
+    generate.add_argument("--p", type=float, required=True)
+    generate.add_argument("--seed", type=int, default=None)
     generate.set_defaults(handler=_cmd_generate)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "compute" and args.explain_decomposition:
-        clashes = [flag for flag, given in (
-            ("--json", args.json), ("--counters", args.counters),
-            ("--time", args.show_time), ("--budget", args.budget is not None),
-            (f"--backend {args.backend}", args.backend != "qb2"),
-        ) if given]
-        if clashes:
-            parser.error(
-                "--explain-decomposition cannot be combined with " + ", ".join(clashes)
-            )
-    if args.command == "crosscheck":
-        given = [f"--{name}" for name in ("family", "k", "p", "seed")
-                 if getattr(args, name) is not None]
-        if args.file is not None and given:
-            parser.error("a network file cannot be combined with " + ", ".join(given))
-        if args.file is None and args.family is None:
-            parser.error("crosscheck needs a file or --family/--k/--p")
-        if args.file is None and (args.k is None or args.p is None):
-            parser.error("generator mode needs --k and --p")
+    args = build_parser().parse_args(argv)
     return args.handler(args)
 
 

@@ -76,8 +76,9 @@ class WeightedStmSet:
 
     ``pooled`` maps the bits of each nonzero matrix to its mass, in the
     order the matrices were first met. The all-zero matrix is never
-    stored; its mass is kept in ``discarded`` so stage tabulations can
-    assert stored + discarded = 1.
+    stored. Only stage tabulation (``tabulate_stage``) keeps its mass in
+    ``discarded``, so that stored + discarded = 1; a fold
+    (``convolve_sets``) drops it and leaves ``discarded`` at 0.0.
     """
 
     __slots__ = ("rows", "cols", "pooled", "discarded")
@@ -442,8 +443,10 @@ def convolve_sets(
 
     Every accumulator/stage pair is convolved; zero products are dropped
     before any probability work, and equal results pool their mass by
-    matrix bits. Raises ValueError unless the accumulator is one row as
-    wide as the stage has rows.
+    matrix bits. The dropped mass is not summed: the result's
+    ``discarded`` is 0.0, since only stage tabulation fills it. Raises
+    ValueError unless the accumulator is one row as wide as the stage has
+    rows.
     """
     if (acc.rows, acc.cols) != (1, stage_set.rows):
         raise ValueError(

@@ -124,9 +124,7 @@ def test_compute_time_flag(example_file, capsys):
 
 
 def test_compute_explain_decomposition(example_file, capsys):
-    code, out, _ = run_cli(
-        ["compute", example_file, "--explain-decomposition"], capsys
-    )
+    code, out, _ = run_cli(["explain", example_file], capsys)
     assert code == 0
     assert "shortest path: a2 a6" in out
     assert "stage 3" in out
@@ -135,32 +133,9 @@ def test_compute_explain_decomposition(example_file, capsys):
 def test_compute_explain_decomposition_single_node(tmp_path, capsys):
     path = tmp_path / "one-node.net"
     path.write_text("nodes 1\n")
-    code, out, _ = run_cli(
-        ["compute", str(path), "--explain-decomposition"], capsys
-    )
+    code, out, _ = run_cli(["explain", str(path)], capsys)
     assert code == 0
     assert "shortest path: (source equals sink)" in out
-
-
-@pytest.mark.parametrize(
-    "flags",
-    [
-        ["--json"],
-        ["--counters"],
-        ["--time"],
-        ["--budget", "10"],
-        ["--backend", "oracle"],
-        ["--backend", "qbat"],
-    ],
-    ids=lambda flags: "-".join(flags).lstrip("-"),
-)
-def test_compute_explain_decomposition_refuses_other_output(example_file, capsys, flags):
-    with pytest.raises(SystemExit) as err:
-        main(["compute", example_file, "--explain-decomposition", *flags])
-    assert err.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert f"cannot be combined with {flags[0]}" in captured.err
 
 
 def test_compute_qbat_on_long_series(tmp_path, capsys):
@@ -296,6 +271,22 @@ def test_removed_bat_backend_is_a_usage_error(example_file, capsys):
     assert "unknown backend 'bat'" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "FILE", "--explain-decomposition"],
+        ["crosscheck", "--family", "series", "--k", "3", "--p", "0.5"],
+        ["crosscheck", "FILE", "--seed", "4"],
+    ],
+    ids=["compute-explain-decomposition", "crosscheck-family", "crosscheck-seed"],
+)
+def test_removed_cli_modes_are_usage_errors(example_file, capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main([example_file if arg == "FILE" else arg for arg in argv])
+    assert err.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_compute_oracle_refuses_above_cap(tmp_path, capsys):
     path = tmp_path / "series31.net"
     path.write_text(format_network(build(GeneratorSpec("series", 31, 0.5))))
@@ -334,30 +325,16 @@ def test_crosscheck_rejects_bad_tolerance(example_file, tolerance):
     assert err.value.code == 2
 
 
-def test_crosscheck_generator_mode(capsys):
-    code, out, _ = run_cli(
-        ["crosscheck", "--family", "ladder", "--k", "3", "--p", "0.9"], capsys
+def test_crosscheck_generator_mode(tmp_path, capsys):
+    code, text, _ = run_cli(
+        ["generate", "--family", "ladder", "--k", "3", "--p", "0.9"], capsys
     )
     assert code == 0
+    path = tmp_path / "ladder-3.net"
+    path.write_text(text)
+    code, out, _ = run_cli(["crosscheck", str(path)], capsys)
+    assert code == 0
     assert "PASS" in out
-
-
-@pytest.mark.parametrize(
-    "flags",
-    [
-        ["--family", "series", "--k", "3", "--p", "0.1"],
-        ["--k", "3"],
-        ["--p", "0.1"],
-        ["--seed", "4"],
-    ],
-)
-def test_crosscheck_refuses_file_with_generator_flags(example_file, capsys, flags):
-    with pytest.raises(SystemExit) as err:
-        main(["crosscheck", example_file, *flags])
-    assert err.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert f"cannot be combined with {flags[0]}" in captured.err
 
 
 def test_crosscheck_needs_some_network(capsys):
@@ -373,6 +350,7 @@ def test_crosscheck_refuses_oversized_networks(tmp_path, capsys):
     code, _, err = run_cli(["crosscheck", str(path)], capsys)
     assert code == 3
     assert "cap" in err
+    assert "qb2 answers when its widest stage has at most 30 arcs" in err
 
 
 def test_bench_text_output(capsys):
@@ -518,7 +496,7 @@ def test_generate_rejects_bad_size(capsys):
     assert "at least 1" in err
 
 
-@pytest.mark.parametrize("command", ["generate", "crosscheck", "bench"])
+@pytest.mark.parametrize("command", ["generate", "bench"])
 @pytest.mark.parametrize("p", ["1.5", "nan"])
 def test_generator_commands_reject_bad_probability(capsys, command, p):
     size = ["--k-min", "2", "--k-max", "2"] if command == "bench" else ["--k", "2"]
@@ -536,7 +514,7 @@ def test_generator_commands_reject_bad_probability(capsys, command, p):
 
 def test_parser_lists_all_subcommands():
     helptext = build_parser().format_help()
-    for name in ("compute", "crosscheck", "bench", "generate"):
+    for name in ("compute", "explain", "crosscheck", "bench", "generate"):
         assert name in helptext
 
 

@@ -101,6 +101,7 @@ arc 2 3 0.5
         ("nodes 3\narc 1 2 0.5 9\n", 2),
         ("nodes 3\nedge 1 2 0.5\n", 2),
         ("nodes three\n", 1),
+        ("nodes 5 6\n", 1),
         ("nodes 3\narc one 2 0.5\n", 2),
         ("nodes 3\narc 1 2 half\n", 2),
         ("", 1),
