@@ -40,14 +40,14 @@ _BYTE = [bytes((i,)) for i in range(256)]
 
 
 class EnumerationCapExceeded(RuntimeError):
-    """Full 2^m enumeration refused because m exceeds DEFAULT_ENUMERATION_CAP."""
+    """Refused at a fixed cap: the oracle's or a qb2 stage's arcs, or qbat's nodes."""
 
     def __init__(self, arc_count: int, message: str | None = None):
         super().__init__(
             message
             or f"full enumeration over {arc_count} arcs exceeds the cap of "
             f"{DEFAULT_ENUMERATION_CAP}; qb2 answers when its widest stage has at most "
-            f"{DEFAULT_ENUMERATION_CAP} arcs, and qbat has no cap and is bounded by --budget"
+            f"{DEFAULT_ENUMERATION_CAP} arcs, and qbat has no arc cap; --budget bounds it"
         )
         self.arc_count = arc_count
 

@@ -33,7 +33,8 @@ def run_backend(
 
     A blown budget is reported as status ``timeout`` and a cap refusal
     (more arcs than ``bat.DEFAULT_ENUMERATION_CAP`` in the oracle's
-    network or in one qb2 stage) as ``skipped``; neither raises.
+    network or in one qb2 stage, or more nodes than ``sys.maxunicode``
+    for qbat) as ``skipped``; neither raises.
     On status ``ok``, ``counters`` is the object the backend filled while
     it ran: qb2's ``stm.Counters``, qbat's ``quickbat.QuickBatStats``, or
     None for the oracle, which keeps none. Both have ``as_dict()``.

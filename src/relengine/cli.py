@@ -4,8 +4,9 @@ Subcommands: compute, explain, crosscheck, bench, generate. Exit codes:
 0 on success, 1 for parse or validation failures, 2 for bad usage
 (argparse, including a ``--budget`` that is not a positive number of
 seconds or a ``--tolerance`` that is not a number of at least 0), 3 when
-a backend refuses a network beyond the fixed cap of 30 arcs (the
-oracle's whole network, or one qb2 stage), 4 when a crosscheck exceeds
+a backend refuses a network beyond a fixed cap (more than 30 arcs in
+the oracle's whole network or in one qb2 stage, or more than 1,114,111
+nodes for qbat), 4 when a crosscheck exceeds
 its tolerance, 5 when ``compute --budget SECONDS`` runs out of time
 before the answer is known.
 """

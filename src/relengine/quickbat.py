@@ -15,11 +15,10 @@ every completion connected.
 The walk is one loop over an explicit stack of prefix frames, so the
 recursion limit does not bound the arc count. Only 1-branches are
 pushed: clearing an arc changes neither the prefix's value nor its
-forest, so each popped frame's chain of 0-branches is walked in place.
-The walk keeps its own undo-trail union-find inline (union by size, no
-path compression): popping a frame rolls the trail back to the length it
-was pushed with, then merges the frame's arc and tests the source and
-sink roots only if the arc joined two sets.
+blocks, so each popped frame's chain of 0-branches is walked in place.
+Each frame carries its prefix's block labels, one character per node
+(so at most ``sys.maxunicode`` nodes), and a 1-branch merges its arc's
+blocks with one ``str.replace`` (Carlier & Lucet), so popping undoes nothing.
 
 This backend is kept as the quick-BAT baseline that the paper compares
 QB-II against, whether or not it wins a benchmark row.
@@ -27,9 +26,11 @@ QB-II against, whether or not it wins a benchmark row.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from . import graphops
+from .bat import EnumerationCapExceeded
 from .budget import STRIDE, Budget
 from .network import Network
 from .unionfind import find, union
@@ -40,8 +41,8 @@ class QuickBatStats:
     """Work counters for one run.
 
     super_vectors counts accepted connected prefixes (each stands for all
-    of its completions), connectivity_checks counts incremental union-find
-    queries, multiplications and summations count floating operations on
+    of its completions), connectivity_checks counts block merges tried,
+    multiplications and summations count floating operations on
     probabilities. The walk counts the first two and the frames it visits,
     ``visited``; with m arcs and ``zeros`` clear coordinates in the last
     disconnected vector, multiplications = (visited - 1) + m + zeros (a
@@ -132,11 +133,14 @@ def reliability_quick_bat(
     covers everything above it. Equality with the full-enumeration
     backends is the correctness anchor and is enforced by the test suite.
     """
+    if network.node_count > sys.maxunicode:  # one label character per node
+        raise EnumerationCapExceeded(
+            network.arc_count, f"qbat takes at most {sys.maxunicode} nodes, one label each"
+        )
     n = network.node_count
     m = network.arc_count
     if n == 1:
         return 1.0
-
     lo = first_connected(network)
     hi = last_disconnected(network)
     probs = network.probabilities()
@@ -144,57 +148,28 @@ def reliability_quick_bat(
     arc_v = [a.v for a in network.arcs]
     fail = [1.0 - p for p in probs]
 
-    # Union by size with an undo trail of real merges and no path
-    # compression, so backtracking costs O(1) per merge made inside a prefix.
-    parent = list(range(n + 1))
-    size = [1] * (n + 1)
-    trail: list[int] = []
-
     total = 0.0
     visited = accepted = checks = 0
-    # Frames (k, value, top, prob, connected, trail_mark) are 1-branches
-    # only: a frame's 0-branch is walked in place right after it, so frames
-    # pop in depth-first, 0-branch-first order. top = value + 2^m - 2^k is
-    # the largest completion; a 1-branch keeps its parent's, a 0-branch
-    # lowers it by 2^k, so no list of m-bit constants is built. connected
-    # is None on the 1-branch of a disconnected prefix: arc k-1 joins the
-    # union-find when the frame pops, and is checked then.
-    stack = [(0, 0, (1 << m) - 1, 1.0, False, 0)]
+    # Frames (k, value, top, prob, connected, labels) are 1-branches only:
+    # a frame's 0-branch is walked in place right after it, so frames pop
+    # in depth-first, 0-branch-first order. top = value + 2^m - 2^k is the
+    # largest completion; a 1-branch keeps its parent's, a 0-branch lowers
+    # it by 2^k, so no list of m-bit constants is built. connected is None
+    # on a disconnected prefix's 1-branch: arc k-1 merges when it pops.
+    stack = [(0, 0, (1 << m) - 1, 1.0, False, "".join(map(chr, range(n + 1))))]
     push = stack.append
     while stack:
-        k, value, top, prob, connected, mark = stack.pop()
-        while len(trail) > mark:  # roll back the merges made below mark
-            x = trail.pop()
-            size[parent[x]] -= size[x]
-            parent[x] = x
+        k, value, top, prob, connected, labels = stack.pop()
         if connected is None:
             checks += 1
-            x = arc_u[k - 1]
-            while parent[x] != x:
-                x = parent[x]
-            y = arc_v[k - 1]
-            while parent[y] != y:
-                y = parent[y]
-            # an arc inside one set leaves the prefix disconnected
-            connected = False
-            if x != y:
-                if size[x] > size[y]:
-                    x, y = y, x
-                parent[x] = y
-                size[y] += size[x]
-                trail.append(x)
-                x = 1
-                while parent[x] != x:
-                    x = parent[x]
-                y = n
-                while parent[y] != y:
-                    y = parent[y]
-                connected = x == y
-        mark = len(trail)
+            a, b = labels[arc_u[k - 1]], labels[arc_v[k - 1]]
+            if a != b:  # an arc inside one block leaves the prefix disconnected
+                labels = labels.replace(b, a)
+            connected = labels[1] == labels[n]
         joined = True if connected else None
         bit = 1 << k
         # the frame, then its chain of 0-branches: clearing arc k keeps the
-        # value and the forest, so only k, bit, top and the probability move
+        # value and the labels, so only k, bit, top and the probability move
         while True:
             visited += 1
             if budget is not None and visited % STRIDE == 0:
@@ -211,7 +186,7 @@ def reliability_quick_bat(
                 break
             # split the prefix; a connected one straddles the tail boundary,
             # and its children stay connected without rechecking
-            push((k + 1, value + bit, top, prob * probs[k], joined, mark))
+            push((k + 1, value + bit, top, prob * probs[k], joined, labels))
             prob *= fail[k]
             top -= bit
             bit <<= 1

@@ -3,12 +3,10 @@
 The caller owns the list (``parent = list(range(size))``), so a fresh
 forest costs one list copy and the hot loops pay no attribute lookups.
 ``find`` and ``union`` compress paths, and serve the landmarks and
-network validation. The depth-first walk of
-``quickbat.reliability_quick_bat`` cannot compress: it keeps union by
-size and a trail of real merges, so backtracking rolls the forest back,
-and it does so inline in its loop, because a function call per root walk
-costs more than the walk itself. The oracle's ``bat._leaves`` and qb2's
-``stm._partitions`` keep no forest: a merge relabels one block of labels.
+network validation. The enumerating walks keep no forest: the oracle's
+``bat._leaves``, qb2's ``stm._partitions`` and the depth-first walk of
+``quickbat.reliability_quick_bat`` hold each partition as an immutable
+string of block labels, and a merge relabels one block.
 """
 
 from __future__ import annotations

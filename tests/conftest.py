@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from relengine.network import make_network
@@ -22,3 +24,17 @@ def example_uniform():
 def example_mixed():
     """The worked example with per-arc probabilities."""
     return build_example(EXAMPLE_PROBS)
+
+
+@pytest.fixture(scope="session")
+def path_into_example():
+    """A 300-arc path from node 1 into the worked example on nodes 301-305.
+
+    The example's seven arcs come first, so qbat's walk branches on arcs
+    whose ends are numbered above 255, and its block labels need more
+    than one byte each; then every prefix runs down the path in turn.
+    """
+    rng = random.Random(5)
+    block = [(u + 300, v + 300, round(rng.uniform(0.6, 0.95), 9)) for u, v in EXAMPLE_PAIRS]
+    path = [(i, i + 1, round(rng.uniform(1 - 1 / 300, 1 - 0.1 / 300), 9)) for i in range(1, 301)]
+    return make_network(305, block + path)

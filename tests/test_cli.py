@@ -12,7 +12,7 @@ import relengine
 from relengine.bench import run_backend
 from relengine.cli import build_parser, format_reliability, main
 from relengine.generators import GeneratorSpec, build
-from relengine.network import format_network, network_digest, parse_network
+from relengine.network import Arc, Network, format_network, network_digest, parse_network
 
 
 @pytest.fixture()
@@ -165,6 +165,17 @@ def test_compute_refuses_wide_qb2_stage(tmp_path, capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert "qb2 stage 2 has 145 arcs, above the cap of 30" in err
+
+
+def test_compute_refuses_more_nodes_than_qbat_has_labels(monkeypatch, capsys):
+    # a valid file with that many nodes needs over a million arcs, so the
+    # loaded network is handed in unvalidated
+    net = Network(sys.maxunicode + 1, (Arc(1, 1, 2, 0.5),))
+    monkeypatch.setattr("relengine.cli._load_network", lambda path: net)
+    code, out, err = run_cli(["compute", "big.net", "--backend", "qbat"], capsys)
+    assert code == 3
+    assert out == ""
+    assert f"qbat takes at most {sys.maxunicode} nodes" in err
 
 
 @pytest.mark.parametrize("backend", ["oracle", "qbat", "qb2"])

@@ -174,6 +174,13 @@ def test_qbat_matches_the_exact_value_on_series_600():
     assert abs(reliability_quick_bat(net) - want) <= 1e-10
 
 
+def test_qbat_matches_the_exact_value_on_two_byte_labels(path_into_example):
+    net = path_into_example
+    want = exact_value(net.node_count, triples(net))
+    assert 0.05 < want < 0.95
+    assert abs(reliability_quick_bat(net) - want) <= 1e-10
+
+
 def path_with_chords(rng, nodes=(28, 50), chords=(3, 8)):
     """A seeded random path of 28-50 nodes with 3-8 chords of 2-5 hops."""
     n = rng.randint(*nodes)

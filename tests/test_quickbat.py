@@ -1,14 +1,18 @@
+import ast
 import math
 import random
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from relengine.bat import reliability_oracle
+import relengine
+from relengine.bat import EnumerationCapExceeded, reliability_oracle
 from relengine.budget import STRIDE, Budget, BudgetExceeded
 from relengine.generators import FAMILIES, GeneratorSpec, build, random_network
-from relengine.network import make_network
+from relengine.network import Arc, Network, make_network
 from relengine.quickbat import (
     QuickBatStats,
     first_connected,
@@ -326,6 +330,41 @@ def test_walk_is_bit_identical_to_per_frame_walk():
         stats = QuickBatStats()
         assert reliability_quick_bat(net, stats=stats).hex() == want.hex()
         assert stats.as_dict() == want_stats.as_dict()
+
+
+def test_walk_is_bit_identical_to_per_frame_walk_on_two_byte_labels(path_into_example):
+    net = path_into_example
+    assert net.node_count > 255 and min(a.u for a in net.arcs[:7]) > 255
+    want, want_stats, visited = per_frame_quick_bat(net)
+    stats = QuickBatStats()
+    assert reliability_quick_bat(net, stats=stats).hex() == want.hex()
+    assert stats.as_dict() == want_stats.as_dict()
+    # the walk branches on the block's arcs: far more than one frame per arc
+    assert visited > 10 * net.arc_count
+
+
+def test_quick_bat_refuses_more_nodes_than_label_characters():
+    # unvalidated, so no union-find is sized by the node count first
+    net = Network(sys.maxunicode + 1, (Arc(1, 1, 2, 0.5),))
+    with pytest.raises(EnumerationCapExceeded, match=f"at most {sys.maxunicode} nodes"):
+        reliability_quick_bat(net)
+
+
+def test_only_unionfind_walks_to_a_root():
+    # one union-find: no other module keeps a forest of its own and walks
+    # it with `while parent[x] != x`
+    walkers = set()
+    for path in Path(relengine.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.While)
+                and isinstance(node.test, ast.Compare)
+                and isinstance(node.test.ops[0], ast.NotEq)
+                and isinstance(node.test.left, ast.Subscript)
+                and ast.unparse(node.test.left.slice) == ast.unparse(node.test.comparators[0])
+            ):
+                walkers.add(path.name)
+    assert walkers == {"unionfind.py"}
 
 
 class CountingBudget:
