@@ -34,7 +34,7 @@ and one adjacency serves the shortest path and every cut.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import NamedTuple
 
@@ -185,7 +185,7 @@ def self_adjust(network: Network, decomposition: Decomposition) -> Decomposition
         pick += crossing[b]
 
     stage_arcs = tuple(map(tuple, map(sorted, filter(None, assigned))))
-    return replace(decomposition, stage_arcs=stage_arcs)
+    return Decomposition(decomposition.path_arcs, decomposition.cuts, regions, stage_arcs)
 
 
 def _stage_spans(network: Network, arcsets) -> tuple[list[int], list[int]]:
@@ -242,9 +242,9 @@ def stage_sources_targets(
     the merges these rules call for, in any order, delete exactly the
     boundaries before the source's first stage, those after the sink's
     last stage and those wider than two nodes. The stages are measured
-    once, those boundaries dropped in one pass, and the span table built
-    once more for the merged stages' node lists, so the cost stays linear
-    in the network however many stages merge.
+    once and those boundaries dropped in one pass; a merged stage's node
+    list is the union of its stages' lists, so the cost stays linear in
+    the network however many stages merge.
     """
     if decomposition.stage_arcs is None:
         raise ValueError("self_adjust must run before stage_sources_targets")
@@ -256,19 +256,23 @@ def stage_sources_targets(
     if len(kept) < len(boundaries):
         # a merged stage runs from just after one kept boundary to the next
         ends = [-1, *kept, len(arcsets) - 1]
+        spans = list(zip(ends, ends[1:]))
         arcsets = tuple(
-            tuple(sorted(chain.from_iterable(arcsets[a + 1 : b + 1])))
-            for a, b in zip(ends, ends[1:])
+            tuple(sorted(chain.from_iterable(arcsets[a + 1 : b + 1]))) for a, b in spans
         )
+        node_ids = [
+            tuple(sorted({*chain.from_iterable(node_ids[a + 1 : b + 1])})) for a, b in spans
+        ]
         boundaries = [boundaries[s] for s in kept]
-        _, node_ids = _buckets(*_stage_spans(network, arcsets), len(arcsets))
 
     sources = [(network.source,)] + boundaries
     targets = boundaries + [(network.sink,)]
     stages = _records(
         Stage, range(1, len(arcsets) + 1), arcsets, sources, targets, node_ids
     )
-    return replace(decomposition, stage_arcs=arcsets, stages=stages)
+    return Decomposition(
+        decomposition.path_arcs, decomposition.cuts, decomposition.regions, arcsets, stages
+    )
 
 
 def decompose(network: Network) -> Decomposition:

@@ -36,6 +36,7 @@ from .bat import (
     _BYTE,
     DEFAULT_ENUMERATION_CAP,
     EnumerationCapExceeded,
+    _table,
     half_probability_tables,
 )
 from .budget import STRIDE, Budget
@@ -344,27 +345,34 @@ def _tabulate(
     order (``_partitions``), which builds no probability tables and checks
     the budget itself. A smaller one is sliced whole (``_slice``), vector
     ``bits`` weighing ``low[bits & (2^shift - 1)] * high[bits >> shift]``
-    (``half_probability_tables``): its entries, their order, ``discarded``
+    (``half_probability_tables``; up to two arcs that product is
+    ``bat._table``'s own, so one table is built): its entries, their order,
+    ``discarded``
     (summed only with ``discard``, else None) and the counters are
     bit-identical to a per-vector sweep over ``range(2^g)`` (the tests'
     ``stm_from_vector`` in ``tests/vectors.py``). A slice depends
     only on the stage's local shape (node count, arc endpoints in stage
     order, sources and targets), so a caller that passes one ``shapes`` dict
     for many stages slices each shape once, while it holds fewer than
-    _SHAPES, and each stage adds up only its own masses. The budget is
-    checked before the slice, whether or not the shape was met before.
+    _SHAPES, and each stage adds up only its own masses; the shape's slice
+    keeps its summation count too. The budget is checked before the slice,
+    whether or not the shape was met before.
     """
-    g = len(stage.arc_ids)
-    arcs = [network.arcs[arc_id - 1] for arc_id in stage.arc_ids]
+    arcs = network.arcs
     local = stage.node_ids.index
+    arc_u, arc_v, probs = [], [], []
+    for arc_id in stage.arc_ids:
+        a = arcs[arc_id - 1]
+        arc_u.append(local(a.u))
+        arc_v.append(local(a.v))
+        probs.append(a.p)
+    g = len(probs)
     n = len(stage.node_ids)
-    arc_u = [local(a.u) for a in arcs]
-    arc_v = [local(a.v) for a in arcs]
     sources = tuple(map(local, stage.source_nodes))
     targets = tuple(map(local, stage.target_nodes))
     if g > _SLICED_ARCS:
         pooled, discarded, products, additions = _partitions(
-            n, arc_u, arc_v, [a.p for a in arcs], sources, targets, budget
+            n, arc_u, arc_v, probs, sources, targets, budget
         )
         counters.multiplications += products
         counters.summations += additions
@@ -381,23 +389,24 @@ def _tabulate(
             (out, sel.index(1), sel if sel.count(1) > 1 else None)
             for out, sel in selectors.items()
         ]
-        sliced = (matrices, zero, zeros)
+        # the additions into a pooled mass: each matrix's leaves but one
+        sliced = (matrices, zero, (1 << g) - zeros - len(matrices))
         if len(shapes) < _SHAPES:
             shapes[shape] = sliced
-    matrices, zero, zeros = sliced
-    low, high, shift = half_probability_tables([a.p for a in arcs])
-    # low[j] * high[hb] for every vector; without low arcs, just high
-    masses = [x * y for y in high for x in low] if shift else high
+    matrices, zero, summations = sliced
+    if g > 2:
+        # low[j] * high[hb] for every vector
+        low, high, _ = half_probability_tables(probs)
+        masses = [x * y for y in high for x in low]
+    else:  # low has at most two entries, and each product is _table's own
+        masses = _table(probs)
     pooled = {}
     for out, first, sel in matrices:
         # one matrix's leaves, added left to right in integer order
-        if sel is None:
-            pooled[out] = masses[first]
-        else:
-            pooled[out] = reduce(add, compress(masses, sel))
+        pooled[out] = masses[first] if sel is None else reduce(add, compress(masses, sel))
     discarded = reduce(add, compress(masses, zero), 0.0) if discard else None
     counters.multiplications += 1 << g
-    counters.summations += (1 << g) - zeros - len(pooled)
+    counters.summations += summations
     return pooled, discarded
 
 
@@ -407,27 +416,39 @@ def _fold(acc, stage, cols, counters) -> dict[int, float]:
     ``acc`` and ``stage`` map matrix bits to mass, and the stage matrices
     are ``cols`` wide. Pairs are visited accumulator-major in insertion
     order; each product is the OR of the stage rows that the accumulator's
-    bits select. Zero products are skipped before any probability work and
+    bits select, each row shifted down once per accumulator entry. With
+    one column the only nonzero product is 1, set exactly when
+    ``acc_bits & bits`` is, and the products add into one running sum.
+    Zero products are skipped before any probability work and
     ``acc_mass * mass`` is added to each nonzero product's bits, so the
     sums, their order and the counters are those of a product-by-product
-    fold.
+    fold, for any row count.
     """
-    mask = (1 << cols) - 1
-    pooled: dict[int, float] = {}
-    get = pooled.get
-    nonzero = 0
-    for acc_bits, acc_mass in acc.items():
-        for bits, mass in stage.items():
-            out = 0
-            select = acc_bits
-            while select:
-                if select & 1:
-                    out |= bits & mask
-                select >>= 1
-                bits >>= cols
-            if out:
-                nonzero += 1
-                pooled[out] = get(out, 0.0) + acc_mass * mass
+    if cols == 1:  # a product is set exactly when acc_bits & bits is
+        total = 0.0
+        nonzero = 0
+        for acc_bits, acc_mass in acc.items():
+            for bits, mass in stage.items():
+                if acc_bits & bits:
+                    nonzero += 1
+                    total += acc_mass * mass
+        pooled = {1: total} if nonzero else {}
+    else:
+        mask = (1 << cols) - 1
+        pooled = {}
+        get = pooled.get
+        nonzero = 0
+        for acc_bits, acc_mass in acc.items():
+            # where each stage row that acc_bits selects starts
+            shifts = [r * cols for r in range(acc_bits.bit_length()) if acc_bits >> r & 1]
+            for bits, mass in stage.items():
+                out = 0
+                for shift in shifts:
+                    out |= bits >> shift
+                out &= mask
+                if out:
+                    nonzero += 1
+                    pooled[out] = get(out, 0.0) + acc_mass * mass
     counters.convolution_products += len(acc) * len(stage)
     counters.multiplications += nonzero
     counters.summations += nonzero - len(pooled)
