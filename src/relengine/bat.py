@@ -59,8 +59,10 @@ def half_probability_tables(probs: Sequence[float]) -> tuple[list[float], list[f
     ``prob(bits) == low[bits & (2^shift - 1)] * high[bits >> shift]``,
     where prob(bits) is the product of p_i over set coordinates and
     1 - p_i over clear ones. Each table entry is a plain left-to-right
-    product of its arc factors. Callers refuse more than 30 arcs first
-    (DEFAULT_ENUMERATION_CAP), so a table has at most 2^15 entries.
+    product of its arc factors. The callers are the oracle, which refuses
+    more than 30 arcs first (DEFAULT_ENUMERATION_CAP), and qb2's sliced
+    stages of 3 to 13 arcs (``stm._tabulate``), so a table has at most
+    2^15 entries.
     """
     m = len(probs)
     shift = m // 2

@@ -13,7 +13,9 @@ cost follows the frontier's partitions, not 2^g, and its tables agree
 with the sweep to rounding. Folding consecutive stages is a boolean
 max-min matrix product. Stage one has a single source node, so the
 accumulator is always one row, as wide as the next stage has rows: a
-product is the OR of the stage rows that the accumulator's bits select.
+product is the OR of the stage rows that the accumulator's bits select,
+and with a one-node target boundary it is set exactly when the two share
+a bit.
 ``reliability_qb2`` works on these plain ints and builds no matrix
 objects; ``tabulate_stage`` and ``convolve_sets`` wrap the same cores
 and return ``WeightedStmSet`` views of their results.
@@ -346,11 +348,10 @@ def _tabulate(
     the budget itself. A smaller one is sliced whole (``_slice``), vector
     ``bits`` weighing ``low[bits & (2^shift - 1)] * high[bits >> shift]``
     (``half_probability_tables``; up to two arcs that product is
-    ``bat._table``'s own, so one table is built): its entries, their order,
-    ``discarded``
-    (summed only with ``discard``, else None) and the counters are
-    bit-identical to a per-vector sweep over ``range(2^g)`` (the tests'
-    ``stm_from_vector`` in ``tests/vectors.py``). A slice depends
+    ``bat._table``'s own, so one table is built): its entries, their
+    order, ``discarded`` (summed only with ``discard``, else None) and the
+    counters are bit-identical to a per-vector sweep over ``range(2^g)``
+    (the tests' ``stm_from_vector`` in ``tests/vectors.py``). A slice depends
     only on the stage's local shape (node count, arc endpoints in stage
     order, sources and targets), so a caller that passes one ``shapes`` dict
     for many stages slices each shape once, while it holds fewer than
@@ -416,10 +417,12 @@ def _fold(acc, stage, cols, counters) -> dict[int, float]:
     ``acc`` and ``stage`` map matrix bits to mass, and the stage matrices
     are ``cols`` wide. Pairs are visited accumulator-major in insertion
     order; each product is the OR of the stage rows that the accumulator's
-    bits select, each row shifted down once per accumulator entry. With
-    one column the only nonzero product is 1, set exactly when
-    ``acc_bits & bits`` is, and the products add into one running sum.
-    Zero products are skipped before any probability work and
+    bits select: one row is just shifted down, and the start of each of
+    several is found once per accumulator entry. With one column the
+    only nonzero product is 1, set exactly when ``acc_bits & bits`` is,
+    and the products add into one running sum. An accumulator entry of
+    0 makes only zero products. Zero products are skipped before any
+    probability work and
     ``acc_mass * mass`` is added to each nonzero product's bits, so the
     sums, their order and the counters are those of a product-by-product
     fold, for any row count.
@@ -439,13 +442,20 @@ def _fold(acc, stage, cols, counters) -> dict[int, float]:
         get = pooled.get
         nonzero = 0
         for acc_bits, acc_mass in acc.items():
-            # where each stage row that acc_bits selects starts
-            shifts = [r * cols for r in range(acc_bits.bit_length()) if acc_bits >> r & 1]
+            if acc_bits & (acc_bits - 1):  # where each selected stage row starts
+                shifts = [r * cols for r in range(acc_bits.bit_length()) if acc_bits >> r & 1]
+            elif acc_bits:  # one row, shifted down
+                shifts, start = None, (acc_bits.bit_length() - 1) * cols
+            else:
+                continue  # every product is zero
             for bits, mass in stage.items():
-                out = 0
-                for shift in shifts:
-                    out |= bits >> shift
-                out &= mask
+                if shifts is None:
+                    out = bits >> start & mask
+                else:
+                    out = 0
+                    for shift in shifts:
+                        out |= bits >> shift
+                    out &= mask
                 if out:
                     nonzero += 1
                     pooled[out] = get(out, 0.0) + acc_mass * mass
