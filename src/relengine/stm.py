@@ -422,10 +422,9 @@ def _fold(acc, stage, cols, counters) -> dict[int, float]:
     only nonzero product is 1, set exactly when ``acc_bits & bits`` is,
     and the products add into one running sum. An accumulator entry of
     0 makes only zero products. Zero products are skipped before any
-    probability work and
-    ``acc_mass * mass`` is added to each nonzero product's bits, so the
-    sums, their order and the counters are those of a product-by-product
-    fold, for any row count.
+    probability work and ``acc_mass * mass`` is added to each nonzero
+    product's bits, so the sums, their order and the counters are those
+    of a product-by-product fold, for any row count.
     """
     if cols == 1:  # a product is set exactly when acc_bits & bits is
         total = 0.0

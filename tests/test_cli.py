@@ -155,6 +155,7 @@ def test_compute_refuses_wide_qb2_stage(tmp_path, capsys, monkeypatch):
         raise AssertionError("a table was built above the cap")
 
     monkeypatch.setattr("relengine.stm.half_probability_tables", no_tables)
+    monkeypatch.setattr("relengine.stm._table", no_tables)
     code, text, _ = run_cli(
         ["generate", "--family", "grid", "--k", "30", "--p", "0.9"], capsys
     )

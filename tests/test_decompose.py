@@ -435,19 +435,24 @@ def test_stage_merge_matches_reference_on_scrambled_stages():
     assert end_merges >= 20
 
 
-def test_stage_merge_measures_the_chain_at_most_twice(monkeypatch):
-    spans = decompose_module._stage_spans
+def test_stage_merge_measures_the_chain_once(monkeypatch):
     calls = []
 
-    def counted(*args):
-        calls.append(1)
-        return spans(*args)
+    def counted(name):
+        helper = getattr(decompose_module, name)
 
-    monkeypatch.setattr(decompose_module, "_stage_spans", counted)
+        def call(*args):
+            calls.append(name)
+            return helper(*args)
+
+        monkeypatch.setattr(decompose_module, name, call)
+
+    counted("_stage_spans")
+    counted("_buckets")
     net = build(GeneratorSpec("grid", 200, 0.9))
     d = decompose(net)
     assert len(d.stages) < len(self_adjust(net, find_shortest_mcs(net)).stage_arcs)
-    assert len(calls) <= 2
+    assert calls == ["_stage_spans", "_buckets"]
 
 
 def test_cut_and_stage_records_are_immutable(example_uniform):

@@ -296,6 +296,48 @@ def test_convolve_sets_matches_per_pair_reference():
     assert (counters.convolution_products, counters.multiplications) == (15, 8)
 
 
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_convolve_sets_matches_per_pair_reference_at_any_width(data):
+    # stage rows 1-4 and cols 1-3, the accumulator's matrix 0 among its
+    # entries: every shortcut in the fold must agree with stm_convolve
+    rows = data.draw(st.integers(min_value=1, max_value=4))
+    cols = data.draw(st.integers(min_value=1, max_value=3))
+    mass = st.floats(min_value=1e-3, max_value=1.0)
+    acc_bits = data.draw(
+        st.lists(st.integers(1, (1 << rows) - 1), unique=True, max_size=(1 << rows) - 1)
+    )
+    acc_bits.insert(data.draw(st.integers(0, len(acc_bits))), 0)
+    acc = {bits: data.draw(mass) for bits in acc_bits}
+    stage = data.draw(
+        st.dictionaries(st.integers(1, (1 << rows * cols) - 1), mass, min_size=1, max_size=12)
+    )
+    want = {}
+    want_counters = Counters()
+    for a, acc_mass in acc.items():
+        for bits, stage_mass in stage.items():
+            product = stm_convolve(
+                SourceTargetMatrix(1, rows, a), SourceTargetMatrix(rows, cols, bits)
+            )
+            want_counters.convolution_products += 1
+            if product.bits == 0:
+                continue
+            want_counters.multiplications += 1
+            if product.bits in want:
+                want[product.bits] += acc_mass * stage_mass
+                want_counters.summations += 1
+            else:
+                want[product.bits] = acc_mass * stage_mass
+    counters = Counters()
+    got = convolve_sets(
+        WeightedStmSet(1, rows, acc), WeightedStmSet(rows, cols, stage), counters
+    )
+    assert (got.rows, got.cols) == (1, cols)
+    assert list(got.pooled) == list(want)
+    assert [m.hex() for m in got.pooled.values()] == [m.hex() for m in want.values()]
+    assert counters == want_counters
+
+
 def test_qb2_on_example(example_uniform, example_mixed):
     r, counters = reliability_qb2(example_uniform)
     assert r == pytest.approx(0.9781803, abs=1e-12)
@@ -811,6 +853,7 @@ def test_qb2_refuses_stage_above_cap(monkeypatch):
         raise AssertionError("a table was built above the cap")
 
     monkeypatch.setattr("relengine.stm.half_probability_tables", no_tables)
+    monkeypatch.setattr("relengine.stm._table", no_tables)
     net = build(GeneratorSpec("grid", 30, 0.9))
     with pytest.raises(EnumerationCapExceeded, match="stage 2 has 145 arcs"):
         reliability_qb2(net)
@@ -827,6 +870,7 @@ def test_tabulation_checks_budget_before_walking_a_wide_stage(monkeypatch):
     # the DP builds no probability tables and checks once per arc, the
     # first before any state
     monkeypatch.setattr("relengine.stm.half_probability_tables", no_tables)
+    monkeypatch.setattr("relengine.stm._table", no_tables)
     budget = CountingBudget()
     tabulate_stage(net, stage, budget)
     assert budget.calls == 30
