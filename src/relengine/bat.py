@@ -42,15 +42,6 @@ _BYTE = [bytes((i,)) for i in range(256)]
 class EnumerationCapExceeded(RuntimeError):
     """Refused at a fixed cap: the oracle's or a qb2 stage's arcs, or qbat's nodes."""
 
-    def __init__(self, arc_count: int, message: str | None = None):
-        super().__init__(
-            message
-            or f"full enumeration over {arc_count} arcs exceeds the cap of "
-            f"{DEFAULT_ENUMERATION_CAP}; qb2 answers when its widest stage has at most "
-            f"{DEFAULT_ENUMERATION_CAP} arcs, and qbat has no arc cap; --budget bounds it"
-        )
-        self.arc_count = arc_count
-
 
 def half_probability_tables(probs: Sequence[float]) -> tuple[list[float], list[float], int]:
     """Probability of every state vector, as two half-width tables.
@@ -144,7 +135,11 @@ def reliability_oracle(network: Network, budget: Budget | None = None) -> float:
     high leaf from 26.
     """
     if network.arc_count > DEFAULT_ENUMERATION_CAP:
-        raise EnumerationCapExceeded(network.arc_count)
+        raise EnumerationCapExceeded(
+            f"full enumeration over {network.arc_count} arcs exceeds the cap of "
+            f"{DEFAULT_ENUMERATION_CAP}; qb2 answers when its widest stage has at most "
+            f"{DEFAULT_ENUMERATION_CAP} arcs, and qbat has no arc cap; --budget bounds it"
+        )
     n = network.node_count
     if n == 1:
         return 1.0

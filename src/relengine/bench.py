@@ -74,14 +74,15 @@ class CrosscheckReport:
 def crosscheck(
     network: Network, tolerance: float = DEFAULT_TOLERANCE
 ) -> CrosscheckReport:
-    """Run every backend and compare the answers pairwise.
+    """Run every backend, the oracle first, and compare the answers pairwise.
 
-    The network must be small enough for full enumeration; a cap refusal
-    propagates to the caller rather than producing a vacuous pass.
+    An oracle cap refusal is raised again before any other backend runs,
+    rather than producing a vacuous pass.
     """
-    if network.arc_count > bat.DEFAULT_ENUMERATION_CAP:
-        raise bat.EnumerationCapExceeded(network.arc_count)
-    results = [run_backend(network, backend) for backend in BACKENDS]
+    oracle = run_backend(network, "oracle")
+    if oracle.status == "skipped":
+        raise bat.EnumerationCapExceeded(oracle.detail)
+    results = [oracle, *(run_backend(network, b) for b in BACKENDS if b != "oracle")]
     values = [r.reliability for r in results if r.reliability is not None]
     max_delta = max(values) - min(values) if values else float("inf")
     passed = len(values) == len(BACKENDS) and max_delta <= tolerance

@@ -4,8 +4,10 @@ Backends poll a Budget on one stride, so a bench run can abandon an
 instance without threads or signals: the oracle at each high leaf that
 starts at a multiple of STRIDE vectors (every high leaf from 26 arcs),
 qbat every STRIDE search frames, and qb2 once per sliced stage and every
-STRIDE states of each arc of a partition-DP stage. Tables and folds (the
-30-arc cap bounds them) do not poll.
+STRIDE states of each arc of a partition-DP stage. Tables (the 30-arc
+cap bounds them) and folds do not poll: qb2's boundaries hold at most two
+nodes, so a fold makes at most 3 nonzero accumulator entries times 15
+stage matrices.
 """
 
 from __future__ import annotations

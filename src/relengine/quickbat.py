@@ -134,9 +134,7 @@ def reliability_quick_bat(
     backends is the correctness anchor and is enforced by the test suite.
     """
     if network.node_count > sys.maxunicode:  # one label character per node
-        raise EnumerationCapExceeded(
-            network.arc_count, f"qbat takes at most {sys.maxunicode} nodes, one label each"
-        )
+        raise EnumerationCapExceeded(f"qbat takes at most {sys.maxunicode} nodes, one label each")
     n = network.node_count
     m = network.arc_count
     if n == 1:

@@ -12,10 +12,10 @@ in greedy frontier order (``_frontier_order``), not stage order; its
 cost follows the frontier's partitions, not 2^g, and its tables agree
 with the sweep to rounding. Folding consecutive stages is a boolean
 max-min matrix product. Stage one has a single source node, so the
-accumulator is always one row, as wide as the next stage has rows: a
-product is the OR of the stage rows that the accumulator's bits select,
-and with a one-node target boundary it is set exactly when the two share
-a bit.
+accumulator is always one row, as wide as the next stage has rows, and
+no boundary holds more than two nodes: a product is the OR of the at
+most two stage rows that the accumulator's bits select, read from a
+table built once (``_PRODUCTS``).
 ``reliability_qb2`` works on these plain ints and builds no matrix
 objects; ``tabulate_stage`` and ``convolve_sets`` wrap the same cores
 and return ``WeightedStmSet`` views of their results.
@@ -54,6 +54,20 @@ _SLICED_ARCS = 13
 _SHAPES = 64
 # The selector bytes of a byte of leaves: leaf k of the byte on byte k.
 _SELECTORS = [bytes([(b >> k) & 1 for k in range(8)]) for b in range(256)]
+# Every fold product, since no boundary holds more than two nodes:
+# _PRODUCTS[cols - 1][row][bits] is the one-row accumulator entry ``row``
+# times the stage matrix ``bits`` of ``cols`` columns, the OR of the
+# stage rows that the bits of ``row`` select.
+_PRODUCTS = [
+    [
+        [
+            ((bits if row & 1 else 0) | (bits >> cols if row & 2 else 0)) & ((1 << cols) - 1)
+            for bits in range(16)
+        ]
+        for row in range(4)
+    ]
+    for cols in (1, 2)
+]
 
 
 @dataclass(frozen=True)
@@ -127,12 +141,8 @@ class Counters:
     summations: int = 0
 
     @property
-    def stms_per_stage(self) -> list[int]:
-        return self.stage_stm_counts + self.fold_stm_counts
-
-    @property
     def total_aggregated(self) -> int:
-        return sum(self.stms_per_stage)
+        return sum(self.stage_stm_counts) + sum(self.fold_stm_counts)
 
     def as_dict(self) -> dict:
         return {
@@ -415,49 +425,24 @@ def _fold(acc, stage, cols, counters) -> dict[int, float]:
     """Fold one pooled stage into the pooled one-row accumulator, by bits.
 
     ``acc`` and ``stage`` map matrix bits to mass, and the stage matrices
-    are ``cols`` wide. Pairs are visited accumulator-major in insertion
-    order; each product is the OR of the stage rows that the accumulator's
-    bits select: one row is just shifted down, and the start of each of
-    several is found once per accumulator entry. With one column the
-    only nonzero product is 1, set exactly when ``acc_bits & bits`` is,
-    and the products add into one running sum. An accumulator entry of
-    0 makes only zero products. Zero products are skipped before any
-    probability work and ``acc_mass * mass`` is added to each nonzero
-    product's bits, so the sums, their order and the counters are those
-    of a product-by-product fold, for any row count.
+    have one or two rows and ``cols`` (one or two) columns. Pairs are
+    visited accumulator-major in insertion order, and each product is read
+    from ``_PRODUCTS``. Zero products are skipped before any probability
+    work and ``acc_mass * mass`` is added to each nonzero product's bits,
+    so the sums, their order and the counters are those of a
+    product-by-product fold.
     """
-    if cols == 1:  # a product is set exactly when acc_bits & bits is
-        total = 0.0
-        nonzero = 0
-        for acc_bits, acc_mass in acc.items():
-            for bits, mass in stage.items():
-                if acc_bits & bits:
-                    nonzero += 1
-                    total += acc_mass * mass
-        pooled = {1: total} if nonzero else {}
-    else:
-        mask = (1 << cols) - 1
-        pooled = {}
-        get = pooled.get
-        nonzero = 0
-        for acc_bits, acc_mass in acc.items():
-            if acc_bits & (acc_bits - 1):  # where each selected stage row starts
-                shifts = [r * cols for r in range(acc_bits.bit_length()) if acc_bits >> r & 1]
-            elif acc_bits:  # one row, shifted down
-                shifts, start = None, (acc_bits.bit_length() - 1) * cols
-            else:
-                continue  # every product is zero
-            for bits, mass in stage.items():
-                if shifts is None:
-                    out = bits >> start & mask
-                else:
-                    out = 0
-                    for shift in shifts:
-                        out |= bits >> shift
-                    out &= mask
-                if out:
-                    nonzero += 1
-                    pooled[out] = get(out, 0.0) + acc_mass * mass
+    products = _PRODUCTS[cols - 1]
+    pooled = {}
+    get = pooled.get
+    nonzero = 0
+    for acc_bits, acc_mass in acc.items():
+        row = products[acc_bits]
+        for bits, mass in stage.items():
+            out = row[bits]
+            if out:
+                nonzero += 1
+                pooled[out] = get(out, 0.0) + acc_mass * mass
     counters.convolution_products += len(acc) * len(stage)
     counters.multiplications += nonzero
     counters.summations += nonzero - len(pooled)
@@ -476,13 +461,19 @@ def convolve_sets(
     matrix bits. The dropped mass is not summed: the result's
     ``discarded`` is 0.0, since only stage tabulation fills it. Raises
     ValueError unless the accumulator is one row as wide as the stage has
-    rows.
+    rows, and unless the stage has at most two rows and two columns, the
+    widest boundaries qb2 folds (``_PRODUCTS``).
     """
     if (acc.rows, acc.cols) != (1, stage_set.rows):
         raise ValueError(
             f"cannot convolve {acc.rows}x{acc.cols} with "
             f"{stage_set.rows}x{stage_set.cols}: "
             "the accumulator must be one row as wide as the stage has rows"
+        )
+    if max(stage_set.rows, stage_set.cols) > 2:
+        raise ValueError(
+            f"cannot convolve with a {stage_set.rows}x{stage_set.cols} stage: "
+            "a boundary holds at most two nodes"
         )
     pooled = _fold(acc.pooled, stage_set.pooled, stage_set.cols, counters or Counters())
     return WeightedStmSet(1, stage_set.cols, pooled)
@@ -514,7 +505,6 @@ def reliability_qb2(
     width = len(widest.arc_ids)
     if width > DEFAULT_ENUMERATION_CAP:
         raise EnumerationCapExceeded(
-            width,
             f"qb2 stage {widest.index} has {width} arcs, above the cap of "
             f"{DEFAULT_ENUMERATION_CAP}; refused by qb2's fixed stage cap",
         )

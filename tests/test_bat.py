@@ -116,7 +116,6 @@ def test_oracle_respects_cap():
     net = build(GeneratorSpec("series", 31, 0.9))
     with pytest.raises(EnumerationCapExceeded, match="31 arcs exceeds the cap") as err:
         reliability_oracle(net)
-    assert err.value.arc_count == 31
 
 
 def test_oracle_respects_budget():

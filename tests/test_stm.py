@@ -184,22 +184,25 @@ def test_convolve_sets_dimension_mismatch():
         convolve_sets(acc, stage)
 
 
-def test_convolve_row_semantics_exhaustively():
-    # 1x2 times 2x2: result entry beta is OR over h of R[h] AND B[h][beta]
-    for rbits in range(4):
-        R = M([[rbits & 1, rbits >> 1]])
-        for bbits in range(16):
-            rows = [
-                [bbits & 1, (bbits >> 1) & 1],
-                [(bbits >> 2) & 1, (bbits >> 3) & 1],
-            ]
-            B = M(rows)
-            got = convolve_one(R, B)
-            for beta in range(2):
-                want = max(
-                    min(R.entry(0, h), B.entry(h, beta)) for h in range(2)
-                )
-                assert got.entry(0, beta) == want
+@pytest.mark.parametrize("rows, cols", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_convolve_row_semantics_exhaustively(rows, cols):
+    # every 1 x rows accumulator, 0 included, times every rows x cols
+    # stage matrix: the four shapes qb2 folds, its boundaries holding at
+    # most two nodes
+    for rbits in range(1 << rows):
+        R = SourceTargetMatrix(1, rows, rbits)
+        for bbits in range(1 << rows * cols):
+            B = SourceTargetMatrix(rows, cols, bbits)
+            assert convolve_one(R, B) == stm_convolve(R, B)
+
+
+def test_convolve_sets_refuses_a_three_node_boundary():
+    for acc, stage in [
+        (WeightedStmSet(1, 3, {0b101: 0.5}), WeightedStmSet(3, 1, {0b011: 0.5})),
+        (WeightedStmSet(1, 2, {0b01: 0.5}), WeightedStmSet(2, 3, {0b000111: 0.5})),
+    ]:
+        with pytest.raises(ValueError, match="at most two nodes"):
+            convolve_sets(acc, stage)
 
 
 def random_matrix(rng, rows, cols):
@@ -299,10 +302,10 @@ def test_convolve_sets_matches_per_pair_reference():
 @given(st.data())
 @settings(max_examples=300, deadline=None)
 def test_convolve_sets_matches_per_pair_reference_at_any_width(data):
-    # stage rows 1-4 and cols 1-3, the accumulator's matrix 0 among its
-    # entries: every shortcut in the fold must agree with stm_convolve
-    rows = data.draw(st.integers(min_value=1, max_value=4))
-    cols = data.draw(st.integers(min_value=1, max_value=3))
+    # stage rows and cols 1-2, every width qb2 folds, the accumulator's
+    # matrix 0 among its entries: the fold must agree with stm_convolve
+    rows = data.draw(st.integers(min_value=1, max_value=2))
+    cols = data.draw(st.integers(min_value=1, max_value=2))
     mass = st.floats(min_value=1e-3, max_value=1.0)
     acc_bits = data.draw(
         st.lists(st.integers(1, (1 << rows) - 1), unique=True, max_size=(1 << rows) - 1)
@@ -343,7 +346,6 @@ def test_qb2_on_example(example_uniform, example_mixed):
     assert r == pytest.approx(0.9781803, abs=1e-12)
     assert counters.stage_stm_counts == [3, 5, 3]
     assert counters.fold_stm_counts == [3, 1]
-    assert counters.stms_per_stage == [3, 5, 3, 3, 1]
     assert counters.total_aggregated == 15
     r_mixed, _ = reliability_qb2(example_mixed)
     assert r_mixed == pytest.approx(
@@ -358,9 +360,10 @@ def test_counters_invariant_lengths():
         _, counters = reliability_qb2(net)
         stages = len(decompose(net).stages)
         folds = stages - 1
-        assert len(counters.stms_per_stage) == stages + folds
+        assert len(counters.stage_stm_counts) == stages
+        assert len(counters.fold_stm_counts) == folds
         assert counters.convolution_products >= folds
-        assert all(c >= 0 for c in counters.stms_per_stage)
+        assert all(c >= 0 for c in counters.stage_stm_counts + counters.fold_stm_counts)
 
 
 def test_qb2_series_closed_form():
@@ -395,7 +398,7 @@ def test_qb2_matches_oracle_on_21_to_23_arcs(family, k):
 def test_qb2_single_node():
     r, counters = reliability_qb2(make_network(1, []))
     assert r == 1.0
-    assert counters.stms_per_stage == []
+    assert counters.stage_stm_counts == counters.fold_stm_counts == []
 
 
 def test_qb2_matches_other_backends_on_random_networks():
