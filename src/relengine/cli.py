@@ -1,6 +1,9 @@
 """Command line surface.
 
-Subcommands: compute, explain, crosscheck, bench, generate. Exit codes:
+Subcommands: compute, explain, crosscheck, bench, generate. ``compute``
+prints the formatted reliability and ``bench`` CSV rows; with ``--json``
+each prints JSON instead, ``compute`` one object whose ``counters`` is
+``null`` for the oracle. Exit codes:
 0 on success, 1 for parse or validation failures, 2 for bad usage
 (argparse, including a ``--budget`` that is not a positive number of
 seconds or a ``--tolerance`` that is not a number of at least 0), 3 when
@@ -84,29 +87,18 @@ def _cmd_compute(args) -> int:
     if result.status != "ok":
         print(f"relengine: {result.detail}", file=sys.stderr)
         return EXIT_CAP if result.status == "skipped" else EXIT_BUDGET
-    counters = result.counters.as_dict() if result.counters is not None else None
     if args.json:
-        payload = {
+        counters = result.counters
+        print(json.dumps({
             "reliability": result.reliability,
             "formatted": format_reliability(result.reliability),
             "backend": result.backend,
             "wall_time_s": result.wall_time_s,
             "network_digest": network_digest(network),
-        }
-        if args.counters:
-            payload["counters"] = counters
-        print(json.dumps(payload))
-        return EXIT_OK
-    print(format_reliability(result.reliability))
-    if args.counters:
-        if counters:
-            width = max(len(name) for name in counters)
-            for name, value in counters.items():
-                print(f"{name:<{width}}  {value}")
-        else:
-            print(f"(no counters for backend {result.backend})")
-    if args.show_time:
-        print(f"wall_time_s  {result.wall_time_s:.6f}")
+            "counters": counters.as_dict() if counters is not None else None,
+        }))
+    else:
+        print(format_reliability(result.reliability))
     return EXIT_OK
 
 
@@ -157,28 +149,13 @@ def _cmd_bench(args) -> int:
     if args.json:
         print(json.dumps(rows))
         return EXIT_OK
-    fields = list(rows[0])  # bench_sweep's keys, in column order
+    writer = csv.DictWriter(sys.stdout, fieldnames=list(rows[0]))
+    writer.writeheader()
     for row in rows:
         if row["reliability"] is not None:
             row["reliability"] = format_reliability(row["reliability"])
         row["wall_time_s"] = f"{row['wall_time_s']:.6f}"
-    if args.csv:
-        writer = csv.DictWriter(sys.stdout, fieldnames=fields)
-        writer.writeheader()
-        writer.writerows(rows)
-    else:
-        widths = {
-            name: max(len(name), *(len(str(row[name] or "")) for row in rows))
-            for name in fields
-        }
-        print("  ".join(name.ljust(widths[name]) for name in fields))
-        for row in rows:
-            print(
-                "  ".join(
-                    str(row[name] if row[name] is not None else "-").ljust(widths[name])
-                    for name in fields
-                )
-            )
+        writer.writerow(row)
     return EXIT_OK
 
 
@@ -206,8 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     compute = sub.add_parser("compute", help="reliability of one network file")
     compute.add_argument("file")
     compute.add_argument("--backend", choices=bench.BACKENDS, default="qb2")
-    compute.add_argument("--counters", action="store_true")
-    compute.add_argument("--time", dest="show_time", action="store_true")
     compute.add_argument("--json", action="store_true")
     compute.add_argument(
         "--budget", type=_positive_seconds, default=None, metavar="SECONDS",
@@ -240,9 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS", help="wall-clock allowance per backend run",
     )
     bench_parser.add_argument("--seed", type=int, default=None)
-    output = bench_parser.add_mutually_exclusive_group()
-    output.add_argument("--csv", action="store_true")
-    output.add_argument("--json", action="store_true")
+    bench_parser.add_argument("--json", action="store_true")
     bench_parser.set_defaults(handler=_cmd_bench)
 
     generate = sub.add_parser("generate", help="write a family instance to stdout")

@@ -461,8 +461,9 @@ def convolve_sets(
     matrix bits. The dropped mass is not summed: the result's
     ``discarded`` is 0.0, since only stage tabulation fills it. Raises
     ValueError unless the accumulator is one row as wide as the stage has
-    rows, and unless the stage has at most two rows and two columns, the
-    widest boundaries qb2 folds (``_PRODUCTS``).
+    rows, unless the stage has at most two rows and two columns, the
+    widest boundaries qb2 folds (``_PRODUCTS``), and unless every entry's
+    bits fit its own set's shape.
     """
     if (acc.rows, acc.cols) != (1, stage_set.rows):
         raise ValueError(
@@ -475,6 +476,10 @@ def convolve_sets(
             f"cannot convolve with a {stage_set.rows}x{stage_set.cols} stage: "
             "a boundary holds at most two nodes"
         )
+    for matrices in (acc, stage_set):
+        for bits in matrices.pooled:
+            if bits not in range(1 << matrices.rows * matrices.cols):
+                raise ValueError(f"entry {bits} is not a {matrices.rows}x{matrices.cols} matrix")
     pooled = _fold(acc.pooled, stage_set.pooled, stage_set.cols, counters or Counters())
     return WeightedStmSet(1, stage_set.cols, pooled)
 

@@ -1,7 +1,9 @@
+import argparse
 import csv
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -91,9 +93,7 @@ def test_compute_is_byte_deterministic(example_file, capsys):
 
 
 def test_compute_json_payload(example_file, capsys):
-    code, out, _ = run_cli(
-        ["compute", example_file, "--json", "--counters"], capsys
-    )
+    code, out, _ = run_cli(["compute", example_file, "--json"], capsys)
     assert code == 0
     payload = json.loads(out)
     assert payload["formatted"] == "0.9781803000"
@@ -105,22 +105,15 @@ def test_compute_json_payload(example_file, capsys):
     assert payload["network_digest"] == network_digest(net)
 
 
-def test_compute_counters_text(example_file, capsys):
-    code, out, _ = run_cli(["compute", example_file, "--counters"], capsys)
+@pytest.mark.parametrize("backend", ["oracle", "qbat", "qb2"])
+def test_compute_json_has_one_schema_for_every_backend(example_file, capsys, backend):
+    code, out, _ = run_cli(["compute", example_file, "--backend", backend, "--json"], capsys)
     assert code == 0
-    assert "stage_stm_counts" in out
-    assert "total_aggregated" in out
-    code, out, _ = run_cli(
-        ["compute", example_file, "--backend", "oracle", "--counters"], capsys
-    )
-    assert code == 0
-    assert "no counters" in out
-
-
-def test_compute_time_flag(example_file, capsys):
-    code, out, _ = run_cli(["compute", example_file, "--time"], capsys)
-    assert code == 0
-    assert "wall_time_s" in out
+    payload = json.loads(out)
+    assert list(payload) == [
+        "reliability", "formatted", "backend", "wall_time_s", "network_digest", "counters",
+    ]
+    assert (payload["counters"] is None) == (backend == "oracle")
 
 
 def test_compute_explain_decomposition(example_file, capsys):
@@ -289,8 +282,14 @@ def test_removed_bat_backend_is_a_usage_error(example_file, capsys):
         ["compute", "FILE", "--explain-decomposition"],
         ["crosscheck", "--family", "series", "--k", "3", "--p", "0.5"],
         ["crosscheck", "FILE", "--seed", "4"],
+        ["compute", "FILE", "--counters"],
+        ["compute", "FILE", "--time"],
+        ["bench", "--family", "series", "--k-min", "1", "--k-max", "1", "--p", "0.5", "--csv"],
     ],
-    ids=["compute-explain-decomposition", "crosscheck-family", "crosscheck-seed"],
+    ids=[
+        "compute-explain-decomposition", "crosscheck-family", "crosscheck-seed",
+        "compute-counters", "compute-time", "bench-csv",
+    ],
 )
 def test_removed_cli_modes_are_usage_errors(example_file, capsys, argv):
     with pytest.raises(SystemExit) as err:
@@ -365,31 +364,16 @@ def test_crosscheck_refuses_oversized_networks(tmp_path, capsys):
     assert "qb2 answers when its widest stage has at most 30 arcs" in err
 
 
-def test_bench_text_output(capsys):
-    code, out, _ = run_cli(
-        [
-            "bench", "--family", "series", "--k-min", "1", "--k-max", "2",
-            "--p", "0.9", "--backends", "qb2,qbat",
-        ],
-        capsys,
-    )
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0].split()[:4] == ["family", "k", "nodes", "arcs"]
-    assert len(lines) == 5
-    assert "0.9000000000" in out
-    assert "0.8100000000" in out
-
-
 def test_bench_csv_output(capsys):
     code, out, _ = run_cli(
         [
             "bench", "--family", "ladder", "--k-min", "1", "--k-max", "2",
-            "--p", "0.9", "--backends", "qb2", "--csv",
+            "--p", "0.9", "--backends", "qb2",
         ],
         capsys,
     )
     assert code == 0
+    assert out.splitlines()[0].split(",")[:4] == ["family", "k", "nodes", "arcs"]
     rows = list(csv.DictReader(io.StringIO(out)))
     assert len(rows) == 2
     assert rows[0]["family"] == "ladder"
@@ -528,6 +512,47 @@ def test_parser_lists_all_subcommands():
     helptext = build_parser().format_help()
     for name in ("compute", "explain", "crosscheck", "bench", "generate"):
         assert name in helptext
+
+
+def test_parser_pins_every_subcommands_options():
+    subcommands = next(
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    options = {
+        name: [
+            action.option_strings[0] for action in parser._actions
+            if action.option_strings and action.dest != "help"
+        ]
+        for name, parser in subcommands.choices.items()
+    }
+    assert options == {
+        "compute": ["--backend", "--json", "--budget"],
+        "explain": [],
+        "crosscheck": ["--tolerance"],
+        "bench": [
+            "--family", "--k-min", "--k-max", "--p", "--backends", "--budget", "--seed", "--json",
+        ],
+        "generate": ["--family", "--k", "--p", "--seed"],
+    }
+    assert sum(map(len, options.values())) == 16
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = readme.split("```")[1::2]  # the text inside each code fence
+    commands = [
+        shlex.split(line, comments=True)
+        for block in blocks
+        for line in block.replace("\\\n", " ").splitlines()
+        if line.startswith("relengine ")
+    ]
+    assert len(commands) >= 8
+    parser = build_parser()
+    for argv in commands:
+        if ">" in argv:
+            argv = argv[: argv.index(">")]
+        parser.parse_args(argv[1:])
 
 
 def test_console_script_entry_point(tmp_path):

@@ -205,6 +205,23 @@ def test_convolve_sets_refuses_a_three_node_boundary():
             convolve_sets(acc, stage)
 
 
+@pytest.mark.parametrize(
+    "acc, stage, entry",
+    [
+        (WeightedStmSet(1, 1, {3: 1.0}), WeightedStmSet(1, 1, {1: 1.0}), "3 is not a 1x1"),
+        (WeightedStmSet(1, 2, {1: 1.0}), WeightedStmSet(2, 1, {7: 1.0}), "7 is not a 2x1"),
+        (WeightedStmSet(1, 2, {-1: 1.0}), WeightedStmSet(2, 1, {1: 1.0}), "-1 is not a 1x2"),
+        (WeightedStmSet(1, 1, {1: 1.0}), WeightedStmSet(1, 1, {-15: 1.0}), "-15 is not a 1x1"),
+        (WeightedStmSet(1, 2, {4: 1.0}), WeightedStmSet(2, 1, {1: 1.0}), "4 is not a 1x2"),
+        (WeightedStmSet(1, 1, {1: 1.0}), WeightedStmSet(1, 2, {16: 1.0}), "16 is not a 1x2"),
+    ],
+    ids=["acc-1x1-3", "stage-2x1-7", "acc-neg", "stage-neg", "acc-1x2-4", "stage-1x2-16"],
+)
+def test_convolve_sets_refuses_an_entry_outside_its_shape(acc, stage, entry):
+    with pytest.raises(ValueError, match=f"entry {entry} matrix"):
+        convolve_sets(acc, stage)
+
+
 def random_matrix(rng, rows, cols):
     return SourceTargetMatrix(rows, cols, rng.randrange(1 << (rows * cols)))
 
