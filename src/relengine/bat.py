@@ -34,8 +34,9 @@ DEFAULT_ENUMERATION_CAP = 30
 # network's keys select (1 MiB made it ten times slower); uncapped, a
 # 30-arc network could store 2^30 masses, or 2^15 keys that select none.
 _MEMO_BYTES = 32 << 20
-# Each label as a one-byte string, for bytes.replace: a connected network
-# within the cap has at most 31 nodes.
+# Each label as a one-byte string, for bytes.replace and bytes.find: the
+# oracle labels nodes, at most 31 in a connected network within the cap,
+# and qb2's partition DP labels frontier slots, at most a stage's nodes.
 _BYTE = [bytes((i,)) for i in range(256)]
 
 
@@ -51,9 +52,9 @@ def half_probability_tables(probs: Sequence[float]) -> tuple[list[float], list[f
     where prob(bits) is the product of p_i over set coordinates and
     1 - p_i over clear ones. Each table entry is a plain left-to-right
     product of its arc factors. The callers are the oracle, which refuses
-    more than 30 arcs first (DEFAULT_ENUMERATION_CAP), and qb2's sliced
-    stages of 3 to 13 arcs (``stm._tabulate``), so a table has at most
-    2^15 entries.
+    more than 30 arcs first (DEFAULT_ENUMERATION_CAP), so a table has at
+    most 2^15 entries, and qb2's sliced stages of 3 to 10 arcs
+    (``stm._tabulate``), whose tables have at most 2^5.
     """
     m = len(probs)
     shift = m // 2

@@ -2,20 +2,20 @@
 
 Each stage vector collapses to a small boolean matrix recording which
 stage source nodes reach which stage target nodes; equal matrices pool
-their probability. A stage of up to 13 arcs is sliced whole, one bit per
+their probability. A stage of up to 10 arcs is sliced whole, one bit per
 vector in Python ints (``_slice``), and its masses are added per vector
 in integer order, so its tables are bit-identical to a per-vector sweep
 over ``range(2^g)`` (the tests' ``stm_from_vector``, in
 ``tests/vectors.py``, is that definition). A wider stage goes to a
-frontier partition DP on byte-string states (``_partitions``), its arcs
-in greedy frontier order (``_frontier_order``), not stage order; its
-cost follows the frontier's partitions, not 2^g, and its tables agree
-with the sweep to rounding. Folding consecutive stages is a boolean
-max-min matrix product. Stage one has a single source node, so the
-accumulator is always one row, as wide as the next stage has rows, and
-no boundary holds more than two nodes: a product is the OR of the at
-most two stage rows that the accumulator's bits select, read from a
-table built once (``_PRODUCTS``).
+frontier partition DP on byte-string states, one fixed byte slot per
+frontier node (``_partitions``), its arcs in greedy frontier order
+(``_frontier_order``), not stage order; its cost follows the frontier's
+partitions, not 2^g, and its tables agree with the sweep to rounding.
+Folding consecutive stages is a boolean max-min matrix product. Stage
+one has a single source node, so the accumulator is always one row, as
+wide as the next stage has rows, and no boundary holds more than two
+nodes: a product is the OR of the at most two stage rows that the
+accumulator's bits select, read from a table built once (``_PRODUCTS``).
 ``reliability_qb2`` works on these plain ints and builds no matrix
 objects; ``tabulate_stage`` and ``convolve_sets`` wrap the same cores
 and return ``WeightedStmSet`` views of their results.
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache, reduce
+from heapq import heapify, heappop, heappush
 from itertools import compress
 from operator import add
 
@@ -45,11 +46,12 @@ from .budget import STRIDE, Budget
 from .decompose import Stage, decompose
 from .network import Network
 
-# Stages of up to this many arcs are sliced whole (2^13 leaves a slice);
-# a wider one goes to the partition DP, whose states are far fewer.
-_SLICED_ARCS = 13
+# Stages of up to this many arcs are sliced whole (2^10 leaves a slice);
+# from 11 arcs the partition DP, whose states are far fewer, is faster
+# than a fresh slice.
+_SLICED_ARCS = 10
 # Sliced stage shapes one solve keeps: each holds at most 16 selectors of
-# at most 8 KiB (13 arcs), so at most 8 MiB in all; past this, a new
+# at most 1 KiB (10 arcs), so at most 1 MiB in all; past this, a new
 # shape is sliced again at each of its stages.
 _SHAPES = 64
 # The selector bytes of a byte of leaves: leaf k of the byte on byte k.
@@ -161,7 +163,7 @@ def _arc_leaves(shift: int) -> tuple[int, ...]:
 
     Leaf j sets arc i when bit i of j is 1: runs of 2^i clear and 2^i
     set bits, doubled out to 2^shift bits. The patterns depend on shift
-    alone, so they are built once per shift (at most 13 ints of 1 KiB).
+    alone, so they are built once per shift (at most 10 ints of 128 bytes).
     """
     out = []
     for i in range(shift):
@@ -231,21 +233,42 @@ def _frontier_order(n, arc_u, arc_v, boundary):
     Arc order sets a frontier DP's width (Kawahara et al., 2017). Each
     next arc adds the fewest nodes to the frontier net of the non-boundary
     nodes it retires (those it is the last arc left of); ties go to more
-    ends already on the frontier, then to the lower index.
+    ends already on the frontier, then to the lower index. The arcs wait
+    in a heap keyed by cost and index; a node's cost only changes when one
+    of its arcs is taken, and then its arcs left are pushed again under
+    their new cost, so an entry that no longer matches its arc's cost, or
+    whose arc is taken, is stale and skipped. That is O(g log g), not the
+    O(g^2) of scanning every arc left for each pick.
     """
+    g = len(arc_u)
+    arcs_at = [[] for _ in range(n)]
+    for k, (u, v) in enumerate(zip(arc_u, arc_v)):
+        arcs_at[u].append(k)
+        arcs_at[v].append(k)
     # arcs left at each node; 0 on the boundary, which never leaves
-    left = [0 if x in boundary else arc_u.count(x) + arc_v.count(x) for x in range(n)]
+    left = [0 if x in boundary else len(ks) for x, ks in enumerate(arcs_at)]
     # one end's share of 4 * (nodes added - nodes retired) + nodes added
     costs = [5 - 4 * (c == 1) if c else 0 for c in left]
-    rest = list(range(len(arc_u)))
+    # an entry is (cost + 8) * g + index: a cost runs from -8 to 10
+    queue = [(costs[u] + costs[v] + 8) * g + k for k, (u, v) in enumerate(zip(arc_u, arc_v))]
+    heapify(queue)
+    taken = [False] * g
     order = []
-    while rest:
-        k = min(rest, key=lambda k: costs[arc_u[k]] + costs[arc_v[k]])
-        rest.remove(k)
+    while queue:
+        cost, k = divmod(heappop(queue), g)
+        u, v = arc_u[k], arc_v[k]
+        if taken[k] or cost != costs[u] + costs[v] + 8:
+            continue
+        taken[k] = True
         order.append(k)
-        for x in (arc_u[k], arc_v[k]):
+        for x in (u, v):
             left[x] -= 1
-            costs[x] = -4 * (left[x] == 1)
+            cost = -4 * (left[x] == 1)
+            if cost != costs[x]:
+                costs[x] = cost
+                for j in arcs_at[x]:
+                    if not taken[j]:
+                        heappush(queue, (costs[arc_u[j]] + costs[arc_v[j]] + 8) * g + j)
     return order
 
 
@@ -256,17 +279,20 @@ def _partitions(n, arc_u, arc_v, probs, sources, targets, budget):
     nodes 0..n-1 and the arcs in greedy frontier order
     (``_frontier_order``), which also fixes the summation order. The
     frontier holds the sources and targets throughout, and any other node
-    from its first arc to its last. A state is a bytes string: entry i is
-    the frontier position of the first node in i's block, a canonical
-    labelling; the frontier is never wider than the stage's n nodes, far
-    below 256 under the 30-arc cap. Arc k of probability p appends each
-    joining node's own position, and sends a state of mass m to itself,
-    failed, with m * (1 - p), and merged (one ``bytes.replace``) with
-    m * p, kept whole when its ends share a block. Then the nodes whose
-    last arc is k leave: a leaving label passes to its block's next
-    member, and the entry is dropped. Equal states pool. A final
-    state's matrix has entry (i, j) set when source i and target j share
-    a block. The budget is checked every STRIDE states of each arc, the
+    from its first arc to its last, and keeps one byte position, its slot,
+    all that time: the boundary holds the first slots, and a fresh node
+    takes the lowest free one. A state is a bytes string with one entry
+    per slot, the lowest slot in that slot's block, a canonical labelling;
+    a free slot reads as a block of its own, so a node takes it without
+    any state changing. There are never more slots than the stage's n
+    nodes, far below 256 under the 30-arc cap. Arc k of probability p
+    sends a state of mass m to itself, failed, with m * (1 - p), and
+    merged (one ``bytes.replace``) with m * p, kept whole when its ends
+    share a block. Then the nodes whose last arc is k leave, lower slot
+    first: a leaving label passes to its block's next member, and the
+    slot is reset to its own index. Equal states pool. A final state's
+    matrix has entry (i, j) set when source i and target j share a
+    block. The budget is checked every STRIDE states of each arc, the
     first time before any. Returns the nonzero matrices' masses by bits,
     the all-zero one's mass, the mass products made and the additions
     into an existing pooled entry.
@@ -276,20 +302,28 @@ def _partitions(n, arc_u, arc_v, probs, sources, targets, budget):
     last = [-1] * n
     for k, (u, v) in enumerate(zip(arc_u, arc_v)):
         last[u] = last[v] = k
-    frontier = list(dict.fromkeys((*sources, *targets)))
-    for x in frontier:
+    slot = [-1] * n
+    for i, x in enumerate(dict.fromkeys((*sources, *targets))):
+        slot[x] = i
         last[x] = len(arc_u)  # the boundary stays to the end
-    states = {bytes(range(len(frontier))): 1.0}
+    width = max(slot) + 1
+    free: list[int] = []  # the slots of nodes that left, a heap
+    steps = []
+    for k, (u, v) in enumerate(zip(arc_u, arc_v)):
+        for x in (u, v):
+            if slot[x] < 0:  # a fresh node takes the lowest free slot
+                if free:
+                    slot[x] = heappop(free)
+                else:
+                    slot[x] = width
+                    width += 1
+        gone = sorted(slot[x] for x in {u, v} if last[x] == k)
+        for r in gone:
+            heappush(free, r)
+        steps.append((slot[u], slot[v], [(r, _BYTE[r]) for r in gone]))
+    states = {bytes(range(width)): 1.0}
     products = additions = 0
-    for k, (u, v, p) in enumerate(zip(arc_u, arc_v, probs)):
-        fresh = [x for x in (u, v) if x not in frontier]
-        tail = bytes(range(len(frontier), len(frontier) + len(fresh)))
-        frontier += fresh
-        iu, iv = frontier.index(u), frontier.index(v)
-        gone = [i for i, x in enumerate(frontier) if last[x] == k]
-        keep = [i for i, x in enumerate(frontier) if last[x] > k]
-        frontier = [frontier[i] for i in keep]
-        shift = bytes.maketrans(bytes(keep), bytes(range(len(keep))))
+    for (iu, iv, gone), p in zip(steps, probs):
         q = 1.0 - p
         pooled: dict[bytes, float] = {}
         get = pooled.get
@@ -297,27 +331,35 @@ def _partitions(n, arc_u, arc_v, probs, sources, targets, budget):
         for j, (labels, mass) in enumerate(states.items()):
             if budget is not None and j % STRIDE == 0:
                 budget.check()
-            labels += tail
+            # the leaving nodes, written out for the failed and the merged
+            # state, since a call per state costs more than the leave
+            key = labels
+            for r, own in gone:
+                if key[r] != r:  # a member leaves: its slot a singleton again
+                    key = key[:r] + own + key[r + 1 :]
+                elif (nxt := key.find(own, r + 1)) > 0:
+                    # the label passes to the next member, whose new label
+                    # first shows at r, and r gets its own index back
+                    key = key.replace(own, _BYTE[nxt]).replace(_BYTE[nxt], own, 1)
             a, b = labels[iu], labels[iv]
             if a == b:
-                branches = ((labels, mass),)
-            else:
-                splits += 1
-                if a > b:
-                    a, b = b, a
-                branches = ((labels, mass * q), (labels.replace(_BYTE[b], _BYTE[a]), mass * p))
-            for key, m in branches:
-                if gone:
-                    for r in gone:  # a leaving label passes to its block's next member
-                        if key[r] == r and (nxt := key.find(_BYTE[r], r + 1)) > 0:
-                            key = key.replace(_BYTE[r], _BYTE[nxt])
-                    key = key.translate(shift)  # kept labels to their new positions
-                    key = bytes([key[i] for i in keep]) if gone[1:] else key[:r] + key[r + 1 :]
-                pooled[key] = get(key, 0.0) + m
+                pooled[key] = get(key, 0.0) + mass
+                continue
+            splits += 1
+            pooled[key] = get(key, 0.0) + mass * q
+            if a > b:
+                a, b = b, a
+            key = labels.replace(_BYTE[b], _BYTE[a])
+            for r, own in gone:
+                if key[r] != r:
+                    key = key[:r] + own + key[r + 1 :]
+                elif (nxt := key.find(own, r + 1)) > 0:
+                    key = key.replace(own, _BYTE[nxt]).replace(_BYTE[nxt], own, 1)
+            pooled[key] = get(key, 0.0) + mass * p
         products += 2 * splits
         additions += len(states) + splits - len(pooled)
         states = pooled
-    pairs = [(frontier.index(s), frontier.index(t)) for s in sources for t in targets]
+    pairs = [(slot[s], slot[t]) for s in sources for t in targets]
     pooled = {}
     for labels, mass in states.items():
         out = sum(1 << bit for bit, (i, j) in enumerate(pairs) if labels[i] == labels[j])

@@ -573,8 +573,10 @@ def stages_of_every_width():
 
 
 def test_sliced_stages_match_reference_at_every_width():
-    pairs = stages_of_every_width()
-    assert {len(stage.arc_ids) for _, stage in pairs} == set(range(1, 14))
+    # every width that is sliced whole, 1.._SLICED_ARCS
+    widths = range(1, stm._SLICED_ARCS + 1)
+    pairs = [(net, stage) for net, stage in stages_of_every_width() if len(stage.arc_ids) in widths]
+    assert {len(stage.arc_ids) for _, stage in pairs} == set(widths)
     for net, stage in pairs:
         assert not tabulated_shape(stage)[0]
         counters = Counters()
@@ -596,8 +598,11 @@ def test_sliced_stages_match_partition_dp(monkeypatch):
         for stage in decompose(net).stages
         if 8 <= len(stage.arc_ids) <= 13
     ]
+    # every stage sliced whole, though the DP takes those above 10 arcs
+    monkeypatch.setattr("relengine.stm._SLICED_ARCS", 13)
     sliced = []
     for net, stage in pairs:
+        assert not tabulated_shape(stage)[0]
         ws = tabulate_stage(net, stage)
         sliced.append((list(ws.entries.items()), ws.discarded))
     runs = []
@@ -670,6 +675,140 @@ def test_partition_dp_relabels_leaving_nodes():
     assert sum(two for two, _ in seen) >= 4
 
 
+def slot_events(n, arc_u, arc_v, sources, targets):
+    """What the DP's slots go through on a stage, in its arc order.
+
+    Slots are given as ``_partitions`` gives them: the boundary first, then
+    each fresh node the lowest free one. "reuse": a fresh node takes a freed
+    slot below a live one. "two": an arc is the last of both its ends. Of
+    a node that leaves while the arc's other end stays, with only that arc
+    up: "label" when its slot is the lower, so its label passes to the
+    other end, else "member". "singleton": any node leaves, which it does
+    alone in the state where all its arcs failed.
+    """
+    boundary = list(dict.fromkeys((*sources, *targets)))
+    order = stm._frontier_order(n, arc_u, arc_v, set(boundary))
+    arcs = [(arc_u[k], arc_v[k]) for k in order]
+    last = {x: k for k, ends in enumerate(arcs) for x in ends if x not in boundary}
+    slot = {x: i for i, x in enumerate(boundary)}
+    events = set()
+    for k, (u, v) in enumerate(arcs):
+        for x in (u, v):
+            if x not in slot:
+                slot[x] = min(set(range(len(slot) + 1)) - set(slot.values()))
+                if slot[x] < max(slot.values()):
+                    events.add("reuse")
+        if last.get(u) == last.get(v) == k:
+            events.add("two")
+        for x, y in ((u, v), (v, u)):
+            if last.get(x) == k != last.get(y):
+                events.add("label" if slot[x] < slot[y] else "member")
+        for x in (u, v):
+            if last.get(x) == k:
+                events.add("singleton")
+                del slot[x]
+    return events
+
+
+@pytest.mark.parametrize(
+    "seed, index, pooled, discarded, products, additions",
+    [
+        (69, 0, [(1, "0x1.b4bd76ee73e68p-4")], "0x1.c968512231834p-1", 34, 16),
+        (
+            391,
+            0,
+            [(1, "0x1.233219957eff7p-3"), (2, "0x1.8d547623a6d52p-2"), (3, "0x1.dbb128013eb65p-3")],
+            "0x1.e673d221f49fcp-3",
+            126,
+            60,
+        ),
+        (
+            426,
+            1,
+            [(1, "0x1.3e17682f877a1p-1"), (2, "0x1.c777a9c128333p-8"), (3, "0x1.4cf507ab3037cp-2")],
+            "0x1.7df24a75e1991p-5",
+            744,
+            369,
+        ),
+        (
+            518,
+            1,
+            [
+                (8, "0x1.90f7e9e03c522p-7"),
+                (10, "0x1.62571cc8e6da1p-8"),
+                (4, "0x1.e9f25837248d4p-2"),
+                (12, "0x1.795cf0dd1c21dp-3"),
+                (5, "0x1.ae983954d6f27p-7"),
+                (15, "0x1.4d7adea3f3713p-4"),
+                (2, "0x1.88abd62cbe42fp-7"),
+                (6, "0x1.718de90232a11p-3"),
+            ],
+            "0x1.0b723790286cap-5",
+            438,
+            211,
+        ),
+    ],
+)
+def test_partition_dp_pins_its_slot_moves(seed, index, pooled, discarded, products, additions):
+    # a 1x1, 1x2, 2x1 and 2x2 stage of 6-13 arcs, each going through every
+    # slot move. The values are also those of a DP that drops a leaving
+    # node's entry instead of freeing its slot, since it meets the same
+    # partitions in the same order; a freed slot that kept its old label
+    # would join the next fresh node to that block
+    net = random_network(random.Random(seed), (8, 14), (10, 20))
+    stage = decompose(net).stages[index]
+    n = len(stage.node_ids)
+    arc_u, arc_v, probs, sources, targets = local_lists(net, stage)
+    assert slot_events(n, arc_u, arc_v, sources, targets) == {
+        "reuse",
+        "two",
+        "label",
+        "member",
+        "singleton",
+    }
+    got, zero, made, added = stm._partitions(n, arc_u, arc_v, probs, sources, targets, None)
+    assert [(bits, mass.hex()) for bits, mass in got.items()] == pooled
+    assert (zero.hex(), made, added) == (discarded, products, additions)
+
+
+def scanned_frontier_order(n, arc_u, arc_v, boundary):
+    """The greedy frontier order by its definition: each pick scans every
+    arc left for the least cost, the lowest index on a tie."""
+    left = [0 if x in boundary else arc_u.count(x) + arc_v.count(x) for x in range(n)]
+    costs = [5 - 4 * (c == 1) if c else 0 for c in left]
+    rest = list(range(len(arc_u)))
+    order = []
+    while rest:
+        k = min(rest, key=lambda k: costs[arc_u[k]] + costs[arc_v[k]])
+        rest.remove(k)
+        order.append(k)
+        for x in (arc_u[k], arc_v[k]):
+            left[x] -= 1
+            costs[x] = -4 * (left[x] == 1)
+    return order
+
+
+def test_frontier_order_matches_a_scan_of_every_arc_left():
+    # every stage of this file's seeded networks and of grids k = 2..8,
+    # and the one wide stage of grid-50 and of grid-300 (1495 arcs)
+    rng = random.Random(79)
+    nets = [random_network(rng) for _ in range(200)]
+    nets += two_by_two_networks() + dp_networks()
+    nets += [net for net, _ in stages_of_every_width()]
+    nets += [build(GeneratorSpec("grid", k, 0.9)) for k in (2, 3, 4, 5, 6, 7, 8, 50, 300)]
+    widths = []
+    for net in dict.fromkeys(nets):
+        for stage in decompose(net).stages:
+            n = len(stage.node_ids)
+            arc_u, arc_v, _, sources, targets = local_lists(net, stage)
+            boundary = {*sources, *targets}
+            order = stm._frontier_order(n, arc_u, arc_v, boundary)
+            assert order == scanned_frontier_order(n, arc_u, arc_v, boundary)
+            widths.append(len(arc_u))
+    assert max(widths) == 1495
+    assert sum(width > stm._SLICED_ARCS for width in widths) >= 40
+
+
 def exact_value(net):
     """The network's reliability from the dyadic reference, as a Fraction."""
     r, q, d = exact.reliability(net.node_count, [(a.u, a.v, a.p) for a in net.arcs])
@@ -699,6 +838,24 @@ def test_qb2_pins_one_stage_random_networks(seed, value, multiplications, summat
         "multiplications": multiplications,
         "summations": summations,
     }
+
+
+def test_qb2_holds_stages_of_11_to_13_arcs_to_the_exact_value():
+    # the widths the DP took over from slicing: within 1e-14 of the exact
+    # value (off by up to 3.5e-16 by the DP, and 2.6e-15 sliced whole)
+    rng = random.Random(43)
+    widths = set()
+    checked = 0
+    while checked < 24:
+        net = random_network(rng, (6, 9), (11, 18))
+        stages = [len(stage.arc_ids) for stage in decompose(net).stages]
+        if not any(11 <= width <= 13 for width in stages):
+            continue
+        widths.update(width for width in stages if 11 <= width <= 13)
+        r, _ = reliability_qb2(net)
+        assert abs(Fraction(r) - exact_value(net)) <= 1e-14
+        checked += 1
+    assert widths == {11, 12, 13}
 
 
 def reference_fold(net):
